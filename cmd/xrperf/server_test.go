@@ -167,13 +167,17 @@ func TestServerFlagErrors(t *testing.T) {
 
 // TestReportByteIdenticalUnderChaos pins the chaos satellite at the
 // report level: the full Markdown report generated over a net fleet
-// whose first node dies repeatedly mid-stream (every connection killed
-// three frames in) is byte-identical to the pool backend's.
+// whose first node dies repeatedly mid-stream is byte-identical to the
+// pool backend's. Each connection to that node dies right after its
+// first batch result: the report's few dozen cells spread over pooled
+// connections, so a connection may never carry a second result. Three
+// deaths keep every batch within its dispatch budget (two attempts per
+// node).
 func TestReportByteIdenticalUnderChaos(t *testing.T) {
 	want := runCLI(t, append([]string{"report", "-workers", "2"}, fastFlags...)...)
 	proxy, err := sweep.NewChaosProxy(startServeNodes(t, 1), sweep.ChaosConfig{
-		CrashAfterFrames: 3,
-		MaxCrashes:       -1,
+		CrashAfterFrames: 2, // the hello, then one batch result
+		MaxCrashes:       3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,9 +7,11 @@ package repro
 import (
 	"bytes"
 	"context"
+	"io/fs"
 	"math"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/device"
 	"repro/internal/experiments"
+	"repro/internal/job"
 	"repro/internal/pipeline"
 	"repro/internal/queue"
 	"repro/internal/scenario"
@@ -780,5 +783,67 @@ func TestDropAwareAoIThroughFiniteBuffer(t *testing.T) {
 	}
 	if aTight <= aRoomy {
 		t.Fatalf("tight buffer AoI %v must exceed roomy %v", aTight, aRoomy)
+	}
+}
+
+// TestCacheDirFromEarlierBuildServesWarm pins the persistent cache's
+// compatibility across builds. testdata/warmcache was written by an
+// earlier xrperf, from before the in-memory cache keyed cells by their
+// binary encoding, with
+//
+//	xrperf report -train 2000 -test 500 -trials 5 -cache-dir testdata/warmcache
+//
+// The same report over a copy of it must measure nothing — the CLI's
+// "0 unique cells measured" — and print the bytes an uncached run
+// prints. A failure here means disk keys or entries moved; if that is
+// intended (a PhysicsVersion bump, say), regenerate the directory with
+// the command above.
+func TestCacheDirFromEarlierBuildServesWarm(t *testing.T) {
+	dir := t.TempDir()
+	const fixture = "testdata/warmcache"
+	err := filepath.WalkDir(fixture, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(fixture, path)
+		if err != nil {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(dst, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := func(cacheDir string) (string, sweep.CacheStats) {
+		t.Helper()
+		spec := job.Default()
+		spec.TrainRows, spec.TestRows, spec.Trials = 2000, 500, 5
+		spec.CacheDir = cacheDir
+		suite, cleanup, err := spec.BuildSuite()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cleanup()
+		var buf bytes.Buffer
+		if err := (job.Job{Kind: job.KindReport, Spec: spec}).Run(context.Background(), suite, &buf); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := suite.CacheStats()
+		return buf.String(), st
+	}
+	warm, st := report(dir)
+	if st.Misses != 0 || st.DiskHits != 36 {
+		t.Fatalf("warm run over the earlier cache: %+v, want 0 measured / 36 loaded from disk", st)
+	}
+	if cold, _ := report(""); warm != cold {
+		t.Fatal("report served from the earlier cache diverges from an uncached run")
 	}
 }

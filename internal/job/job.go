@@ -21,6 +21,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/sweep"
+	"repro/internal/testbed"
 )
 
 // Spec describes one job's execution environment.
@@ -151,7 +152,9 @@ func (s Spec) fleetSpec() fleet.Spec {
 
 // Validate checks the specification. Zero means "use the default" for
 // every count (workers, procs, trials, rows), so only negatives — which
-// no default resolves — are rejected; the backend/fleet combination must
+// no default resolves — are rejected, plus trial and row counts above
+// the testbed's work caps, which would let one job pin a server slot
+// for hours; the backend/fleet combination must
 // be coherent both ways (net needs exactly one membership source, fleet
 // options need net).
 func (s Spec) Validate() error {
@@ -164,11 +167,20 @@ func (s Spec) Validate() error {
 	if s.Trials < 0 {
 		return fmt.Errorf("job: -trials must be >= 0, have %d", s.Trials)
 	}
+	if s.Trials > testbed.MaxTrials {
+		return fmt.Errorf("job: -trials must be <= %d, have %d", testbed.MaxTrials, s.Trials)
+	}
 	if s.TrainRows < 0 {
 		return fmt.Errorf("job: -train must be >= 0, have %d", s.TrainRows)
 	}
+	if s.TrainRows > testbed.MaxTrainRows {
+		return fmt.Errorf("job: -train must be <= %d, have %d", testbed.MaxTrainRows, s.TrainRows)
+	}
 	if s.TestRows < 0 {
 		return fmt.Errorf("job: -test must be >= 0, have %d", s.TestRows)
+	}
+	if s.TestRows > testbed.MaxTestRows {
+		return fmt.Errorf("job: -test must be <= %d, have %d", testbed.MaxTestRows, s.TestRows)
 	}
 	if s.Batch < 0 {
 		return fmt.Errorf("job: -batch must be >= 0, have %d", s.Batch)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
+	"repro/internal/testbed"
 )
 
 // TestSpecValidateTable covers every invalid field combination Validate
@@ -33,6 +34,9 @@ func TestSpecValidateTable(t *testing.T) {
 		{Backend: "net", Nodes: []string{"a:1"}, Fleet: &fleet.Spec{Nodes: []string{"b:2"}, NoSteal: true}},
 		{Backend: "pool", Fleet: &fleet.Spec{}}, // empty fleet document is inert
 		{Workers: 8, Trials: 9, TrainRows: 10, TestRows: 11},
+		// Paper scale and the work caps themselves are valid.
+		{Trials: testbed.MaxTrials, TrainRows: testbed.MaxTrainRows, TestRows: testbed.MaxTestRows},
+		{TrainRows: testbed.PaperTrainRows, TestRows: testbed.PaperTestRows},
 	}
 	for i, s := range valid {
 		if err := s.Validate(); err != nil {
@@ -75,6 +79,12 @@ func TestSpecValidateTable(t *testing.T) {
 			"job: -train must be >= 0, have -4"},
 		{"negative test rows", Spec{TestRows: -5},
 			"job: -test must be >= 0, have -5"},
+		{"trials above the cap", Spec{Trials: 10001},
+			"job: -trials must be <= 10000, have 10001"},
+		{"train rows above the cap", Spec{TrainRows: 1194651},
+			"job: -train must be <= 1194650, have 1194651"},
+		{"test rows above the cap", Spec{TestRows: 360831},
+			"job: -test must be <= 360830, have 360831"},
 		{"first failure wins", Spec{Workers: -1, Backend: "teleport", Trials: -9},
 			"job: -workers must be >= 0, have -1"},
 	}

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"repro/internal/testbed"
@@ -57,22 +56,25 @@ func (e *cacheEntry) completed() bool {
 	}
 }
 
-// CachedRunner memoizes measurements across calls by content key —
-// (Request.Fingerprint, Seed) — on top of any backend. Because a seeded
-// request is a pure function of exactly that key, serving a repeat from
-// the cache is indistinguishable from re-measuring it: the cache changes
-// how much work runs, never a byte of output. Identical cells requested
+// CachedRunner memoizes measurements across calls by content key on top
+// of any backend. In memory the key is the request's binary content,
+// seed included (Request.AppendKey); equal keys mean equal
+// (Request.Fingerprint, Seed). Because a seeded request is a pure
+// function of that content, serving a repeat from the cache is
+// indistinguishable from re-measuring it: the cache changes how much
+// work runs, never a byte of output. Identical cells requested
 // concurrently (e.g. the same grid cell in two experiments running in
 // parallel) are measured once: the first request owns the measurement
-// and the rest wait on it. Requests that cannot be fingerprinted pass
-// through uncached.
+// and the rest wait on it. Requests that cannot be fingerprinted have
+// no key either and pass through uncached.
 //
 // In-memory entries live for the runner's lifetime — one evaluation
 // run — which is bounded by the experiment grids. A measurement that
 // fails is evicted so a later call can retry it. With a DiskCache
 // attached (WithDiskCache), entries additionally persist across runner
-// lifetimes and processes: a cell found on disk is served without any
-// backend dispatch, and every cell the backend measures is written back.
+// lifetimes and processes under (Fingerprint, Seed): a cell found on
+// disk is served without any backend dispatch, and every cell the
+// backend measures is written back.
 type CachedRunner struct {
 	backend Runner
 	disk    *DiskCache
@@ -202,9 +204,11 @@ func (c *CachedRunner) Stream(ctx context.Context, reqs []testbed.Request, emit 
 					// fail already evicted the entry, so re-enter the
 					// cache and measure the cell ourselves (racing
 					// retriers single-flight on a fresh entry). Owned
-					// cells — and their in-batch duplicates — never
-					// retry: their backend ran under this call's context,
-					// so their error is this call's own. For a cell that
+					// cells never retry: their backend ran under this
+					// call's context, so their error is this call's own.
+					// An in-batch duplicate is not owned and may retry,
+					// but its owner sits at a lower index, so the owner's
+					// error is the one the call returns. For a cell that
 					// fails persistently this costs at most one dispatch
 					// per live caller — each retry either owns the fresh
 					// entry (and returns its own error, no further retry)
@@ -276,29 +280,36 @@ func (w *diskWriter) wait() {
 }
 
 // classify resolves each request to a cache entry in one lock pass plus
-// lock-free disk lookups: completed or in-flight entries count as hits;
-// the first occurrence of a new key registers an in-flight entry and —
-// if a persistent store is attached — checks disk outside the lock,
+// lock-free disk lookups: completed or in-flight entries count as hits
+// (an in-batch duplicate finds its first occurrence's fresh entry and
+// waits on it like any other in-flight cell); the first occurrence of a
+// new key registers an in-flight entry and — if a persistent store is
+// attached and the cell is persistable — checks disk outside the lock,
 // loading a found cell as a completed entry (disk hit) or becoming an
-// owned measurement (miss) otherwise; later in-batch duplicates share
-// the owner's entry (and its ownership, so they never retry their own
-// call's failure). Unfingerprintable requests get a private uncached
-// entry. Registering before reading keeps concurrent callers
-// single-flighted on the in-flight entry instead of re-reading the
-// store, and keeps classification of other batches from serializing
-// behind file I/O.
+// owned measurement (miss) otherwise. Requests without a key get a
+// private uncached entry. Registering before reading keeps concurrent
+// callers single-flighted on the in-flight entry instead of re-reading
+// the store, and keeps classification of other batches from
+// serializing behind file I/O.
+//
+// Memory keys are each request's binary content (Request.AppendKey),
+// built in one reused buffer, so a hit allocates no key string. The JSON
+// fingerprint that names a cell on disk is computed only for the fresh
+// cells the store is asked about; keys[i] is set for owned cells and
+// fps[i] for the cells whose measurement is written back.
 func (c *CachedRunner) classify(reqs []testbed.Request) (entries []*cacheEntry, keys, fps []string, owned []bool, ownedIdx []int, ownedReqs []testbed.Request) {
 	n := len(reqs)
 	entries = make([]*cacheEntry, n)
 	keys = make([]string, n)
 	fps = make([]string, n)
 	owned = make([]bool, n)
-	ownerOf := make(map[string]int)
 	var pending []int // fresh keys whose disk lookup is still outstanding
+	var buf []byte
 
 	c.mu.Lock()
 	for i, r := range reqs {
-		fp, err := r.Fingerprint()
+		var err error
+		buf, err = r.AppendKey(buf[:0])
 		if err != nil {
 			entries[i] = newCacheEntry()
 			owned[i] = true
@@ -307,41 +318,36 @@ func (c *CachedRunner) classify(reqs []testbed.Request) (entries []*cacheEntry, 
 			c.misses++
 			continue
 		}
-		key := fp + "\x00" + strconv.FormatInt(r.Seed, 10)
-		keys[i] = key
-		if persistable(r) {
-			// fps marks the cells the persistent store may serve and
-			// receive; an empty entry keeps the cell memory-only.
-			fps[i] = fp
-		}
-		if e, ok := c.entries[key]; ok {
+		if e, ok := c.entries[string(buf)]; ok {
 			entries[i] = e
-			c.hits++
-			continue
-		}
-		if j, ok := ownerOf[key]; ok {
-			entries[i] = entries[j]
-			owned[i] = owned[j]
 			c.hits++
 			continue
 		}
 		e := newCacheEntry()
 		entries[i] = e
-		c.entries[key] = e
-		ownerOf[key] = i
+		keys[i] = string(buf)
+		c.entries[keys[i]] = e
 		owned[i] = true
-		if c.disk == nil || fps[i] == "" {
+		if c.disk != nil && persistable(r) {
+			pending = append(pending, i)
+		} else {
 			ownedIdx = append(ownedIdx, i)
 			ownedReqs = append(ownedReqs, r)
 			c.misses++
-		} else {
-			pending = append(pending, i)
 		}
 	}
 	c.mu.Unlock()
 
 	for _, i := range pending {
-		m, ok := c.disk.Get(fps[i], reqs[i].Seed)
+		// A keyed request always has a fingerprint; should one ever
+		// fail, the cell is measured but kept out of the store.
+		fp, err := reqs[i].Fingerprint()
+		var m testbed.Measurement
+		ok := false
+		if err == nil {
+			fps[i] = fp
+			m, ok = c.disk.Get(fp, reqs[i].Seed)
+		}
 		c.mu.Lock()
 		if ok {
 			c.diskHits++

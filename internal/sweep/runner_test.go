@@ -220,11 +220,18 @@ func TestProcRunnerBadCommand(t *testing.T) {
 }
 
 // TestProcRunnerCancelMidShard pins mid-shard cancelation: canceling the
-// context while workers are deep inside a long measurement must kill the
+// context while workers are deep inside a long request must kill the
 // in-flight round trips and return promptly with context.Canceled — the
 // subprocess pipe must not hold the sweep hostage.
 func TestProcRunnerCancelMidShard(t *testing.T) {
-	reqs := testRequests(t, 20_000_000) // several seconds of trials per shard
+	// Session cohorts far too large to finish: the work caps bound trial
+	// counts, but one session request may still run for minutes.
+	reqs := testRequests(t, 1)
+	for i := range reqs {
+		reqs[i].Op = testbed.OpSession
+		reqs[i].Trials = 0
+		reqs[i].Session = &testbed.SessionConfig{Frames: 10000, Users: 10000}
+	}
 	pr := &ProcRunner{Procs: 2}
 	defer pr.Close()
 
@@ -287,7 +294,8 @@ func (pathLossStub) ThroughputFactor(float64) float64 { return 1 }
 
 // TestCachedRunnerMemoizes pins the cache contract: identical cells are
 // measured once per runner lifetime, results are bit-identical to the
-// uncached backend, and in-batch duplicates resolve to one measurement.
+// uncached backend, in-batch duplicates resolve to one measurement, and
+// Op "" and "measure" share an entry.
 func TestCachedRunnerMemoizes(t *testing.T) {
 	reqs := testRequests(t, 3)
 	dup := append(append([]testbed.Request{}, reqs...), reqs[0], reqs[2])
@@ -328,6 +336,25 @@ func TestCachedRunnerMemoizes(t *testing.T) {
 	st = c.Stats()
 	if st.Misses != int64(len(reqs)) || st.Hits != 2+int64(len(dup)) {
 		t.Fatalf("after replay: %+v", st)
+	}
+
+	// Op "" and "measure" name one cell: the explicit spelling replays
+	// from the cache too.
+	explicit := append([]testbed.Request(nil), reqs...)
+	for i := range explicit {
+		explicit[i].Op = testbed.OpMeasure
+	}
+	spelled, err := c.Run(context.Background(), explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range spelled {
+		if spelled[i] != got[i] {
+			t.Fatalf("explicit-Op replay diverges at %d", i)
+		}
+	}
+	if st := c.Stats(); st.Misses != int64(len(reqs)) || st.Hits != 2+int64(len(dup)+len(reqs)) {
+		t.Fatalf("after explicit-Op replay: %+v", st)
 	}
 }
 

@@ -1,0 +1,85 @@
+package testbed
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/device"
+	"repro/internal/pipeline"
+)
+
+// benchBatch builds the codec benchmarks' frames: a 16-request
+// WireBatch — the dispatcher's default batch size — over every device,
+// both modes and several frame sizes, and the WireBatchResult a node
+// answers it with.
+func benchBatch(b *testing.B) (WireBatch, WireBatchResult) {
+	b.Helper()
+	var reqs []Request
+	for i := 0; len(reqs) < 16; i++ {
+		devs := device.Catalog()
+		mode := pipeline.ModeLocal
+		if i%2 == 1 {
+			mode = pipeline.ModeRemote
+		}
+		sc, err := pipeline.NewScenario(devs[i%len(devs)],
+			pipeline.WithMode(mode), pipeline.WithFrameSize(300+float64(25*i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := Request{Scenario: sc, Trials: 30, NoiseRel: DefaultNoiseRel}
+		if req.Seed, err = req.ContentSeed(42); err != nil {
+			b.Fatal(err)
+		}
+		reqs = append(reqs, req)
+	}
+	batch := WireBatch{ID: 7, Reqs: reqs}
+	return batch, WireBatchResult{ID: 7, Items: NewExecutor(nil).DoBatch(context.Background(), reqs)}
+}
+
+// codecSink keeps benchmarked results alive.
+var codecSink []byte
+
+func BenchmarkEncodeBinary(b *testing.B) {
+	batch, result := benchBatch(b)
+	for _, bc := range []struct {
+		name string
+		v    any
+	}{{"batch16", batch}, {"result16", result}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				payload, err := EncodeBinary(bc.v)
+				if err != nil {
+					b.Fatal(err)
+				}
+				codecSink = payload
+			}
+		})
+	}
+}
+
+func BenchmarkDecodeBinary(b *testing.B) {
+	batch, result := benchBatch(b)
+	for _, bc := range []struct {
+		name string
+		v    any
+		into func() any
+	}{
+		{"batch16", batch, func() any { return new(WireBatch) }},
+		{"result16", result, func() any { return new(WireBatchResult) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			payload, err := EncodeBinary(bc.v)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeBinary(payload, bc.into()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

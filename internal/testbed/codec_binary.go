@@ -7,16 +7,20 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 )
 
 // The compact binary codec for the hot frame types (WireBatch,
-// WireBatchResult, WireResult, and everything they embed). Encoding is
-// reflection-driven over the exported fields in struct order — the same
-// field set and order encoding/json uses — so the codec cannot drift
-// from the wire structs: a field added to Request or Measurement is
-// carried automatically, and the cross-codec property test
+// WireBatchResult, WireResult, and everything they embed). The layout
+// covers the exported fields in struct order — the same field set and
+// order encoding/json uses — so the codec cannot drift from the wire
+// structs: a field added to Request or Measurement is carried
+// automatically, and the cross-codec property test
 // (TestBinaryMatchesJSONDecode) pins binary-decode == JSON-decode for
-// every wire type.
+// every wire type. Reflection runs once per Go type, not per value:
+// the first encode or decode of a type builds its codecPlan (kind,
+// exported-field indexes, element plans), which is cached for the life
+// of the process, and every value then walks its plan.
 //
 // Layout, per value:
 //
@@ -40,11 +44,86 @@ import (
 //
 // Decoding is allocation-bounded: every length and element count is
 // checked against the bytes actually remaining before anything is
-// allocated, so a hostile frame can cost at most its own size
-// (FuzzBinaryFrame exercises this).
+// allocated — a slice of n elements is allocated only once n times the
+// element's smallest encoding fits in what is left — so a hostile frame
+// can cost at most a small multiple of its own size (FuzzBinaryFrame
+// exercises this).
 
 // errBinary indicates a malformed or unsupported binary encoding.
 var errBinary = errors.New("testbed: bad binary encoding")
+
+// codecPlan is the binary layout of one Go type.
+type codecPlan struct {
+	typ  reflect.Type
+	kind reflect.Kind
+	// fields are a struct's exported fields, in order.
+	fields []planField
+	// elem is a slice's or pointer's element plan; bytes marks []byte,
+	// which is carried as one length-prefixed run.
+	elem  *codecPlan
+	bytes bool
+	// minLen is the fewest bytes an encoded value of the type occupies;
+	// it bounds how many slice elements the remaining bytes can hold.
+	minLen int
+}
+
+type planField struct {
+	index int
+	plan  *codecPlan
+}
+
+// plans caches a codecPlan per reflect.Type. planMu serializes
+// building, so a recursive type is built once and a plan is published
+// only when every plan it reaches is complete.
+var (
+	plans  sync.Map
+	planMu sync.Mutex
+)
+
+// planFor returns t's cached plan, building it on first use.
+func planFor(t reflect.Type) *codecPlan {
+	if p, ok := plans.Load(t); ok {
+		return p.(*codecPlan)
+	}
+	planMu.Lock()
+	defer planMu.Unlock()
+	building := map[reflect.Type]*codecPlan{}
+	p := buildPlan(t, building)
+	for bt, bp := range building {
+		plans.Store(bt, bp)
+	}
+	return p
+}
+
+func buildPlan(t reflect.Type, building map[reflect.Type]*codecPlan) *codecPlan {
+	if p, ok := plans.Load(t); ok {
+		return p.(*codecPlan)
+	}
+	if p, ok := building[t]; ok {
+		return p // a recursive reference, reached only through a pointer, slice or map
+	}
+	p := &codecPlan{typ: t, kind: t.Kind(), minLen: 1}
+	building[t] = p
+	switch p.kind {
+	case reflect.Float64:
+		p.minLen = 8
+	case reflect.Slice, reflect.Pointer:
+		p.elem = buildPlan(t.Elem(), building)
+		p.bytes = p.kind == reflect.Slice && t.Elem().Kind() == reflect.Uint8
+	case reflect.Struct:
+		p.minLen = 0
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			fp := buildPlan(f.Type, building)
+			p.fields = append(p.fields, planField{index: i, plan: fp})
+			p.minLen += fp.minLen
+		}
+	}
+	return p
+}
 
 // EncodeBinary encodes v (a wire struct or pointer to one) in the
 // compact binary codec.
@@ -56,8 +135,27 @@ func EncodeBinary(v any) ([]byte, error) {
 		}
 		rv = rv.Elem()
 	}
-	return appendBinary(nil, rv)
+	scratch := encodeBufs.Get().(*[]byte)
+	buf, err := binEncoder{}.append((*scratch)[:0], planFor(rv.Type()), rv)
+	if err != nil {
+		encodeBufs.Put(scratch)
+		return nil, err
+	}
+	out := append([]byte(nil), buf...)
+	if cap(buf) <= maxPooledEncode {
+		*scratch = buf
+		encodeBufs.Put(scratch)
+	}
+	return out, nil
 }
+
+// encodeBufs recycles EncodeBinary's scratch buffers, so an encoding
+// grows in a warm buffer and is copied out once at its exact length.
+// Buffers grown past maxPooledEncode by a rare large frame are left to
+// the collector rather than pinned in the pool.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledEncode = 64 << 10
 
 // DecodeBinary decodes a compact binary payload into v, which must be a
 // non-nil pointer. Trailing garbage after a complete value is rejected.
@@ -67,7 +165,7 @@ func DecodeBinary(data []byte, v any) error {
 		return fmt.Errorf("%w: decode target must be a non-nil pointer", errBinary)
 	}
 	d := &binDecoder{data: data}
-	if err := d.value(rv.Elem()); err != nil {
+	if err := d.value(planFor(rv.Type().Elem()), rv.Elem()); err != nil {
 		return err
 	}
 	if d.off != len(data) {
@@ -76,8 +174,15 @@ func DecodeBinary(data []byte, v any) error {
 	return nil
 }
 
-func appendBinary(buf []byte, rv reflect.Value) ([]byte, error) {
-	switch rv.Kind() {
+// binEncoder appends values in the binary layout. finite makes NaN and
+// ±Inf floats an error, as encoding/json does — the cache-key encoding
+// uses it so a request that has no JSON fingerprint has no key either.
+type binEncoder struct {
+	finite bool
+}
+
+func (e binEncoder) append(buf []byte, p *codecPlan, rv reflect.Value) ([]byte, error) {
+	switch p.kind {
 	case reflect.Bool:
 		if rv.Bool() {
 			return append(buf, 1), nil
@@ -88,7 +193,11 @@ func appendBinary(buf []byte, rv reflect.Value) ([]byte, error) {
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		return binary.AppendUvarint(buf, rv.Uint()), nil
 	case reflect.Float64:
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(rv.Float())), nil
+		f := rv.Float()
+		if e.finite && (math.IsNaN(f) || math.IsInf(f, 0)) {
+			return nil, fmt.Errorf("%w: unsupported float value %v", errBinary, f)
+		}
+		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f)), nil
 	case reflect.String:
 		s := rv.String()
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -100,12 +209,12 @@ func appendBinary(buf []byte, rv reflect.Value) ([]byte, error) {
 		buf = append(buf, 1)
 		n := rv.Len()
 		buf = binary.AppendUvarint(buf, uint64(n))
-		if rv.Type().Elem().Kind() == reflect.Uint8 {
+		if p.bytes {
 			return append(buf, rv.Bytes()...), nil
 		}
 		var err error
 		for i := 0; i < n; i++ {
-			if buf, err = appendBinary(buf, rv.Index(i)); err != nil {
+			if buf, err = e.append(buf, p.elem, rv.Index(i)); err != nil {
 				return nil, err
 			}
 		}
@@ -114,15 +223,11 @@ func appendBinary(buf []byte, rv reflect.Value) ([]byte, error) {
 		if rv.IsNil() {
 			return append(buf, 0), nil
 		}
-		return appendBinary(append(buf, 1), rv.Elem())
+		return e.append(append(buf, 1), p.elem, rv.Elem())
 	case reflect.Struct:
-		t := rv.Type()
 		var err error
-		for i := 0; i < t.NumField(); i++ {
-			if !t.Field(i).IsExported() {
-				continue
-			}
-			if buf, err = appendBinary(buf, rv.Field(i)); err != nil {
+		for _, f := range p.fields {
+			if buf, err = e.append(buf, f.plan, rv.Field(f.index)); err != nil {
 				return nil, err
 			}
 		}
@@ -199,8 +304,8 @@ func (d *binDecoder) take(n int) []byte {
 	return b
 }
 
-func (d *binDecoder) value(rv reflect.Value) error {
-	switch rv.Kind() {
+func (d *binDecoder) value(p *codecPlan, rv reflect.Value) error {
+	switch p.kind {
 	case reflect.Bool:
 		b, err := d.byte()
 		if err != nil {
@@ -217,7 +322,7 @@ func (d *binDecoder) value(rv reflect.Value) error {
 			return err
 		}
 		if rv.OverflowInt(v) {
-			return fmt.Errorf("%w: %d overflows %s", errBinary, v, rv.Type())
+			return fmt.Errorf("%w: %d overflows %s", errBinary, v, p.typ)
 		}
 		rv.SetInt(v)
 		return nil
@@ -227,7 +332,7 @@ func (d *binDecoder) value(rv reflect.Value) error {
 			return err
 		}
 		if rv.OverflowUint(u) {
-			return fmt.Errorf("%w: %d overflows %s", errBinary, u, rv.Type())
+			return fmt.Errorf("%w: %d overflows %s", errBinary, u, p.typ)
 		}
 		rv.SetUint(u)
 		return nil
@@ -245,61 +350,54 @@ func (d *binDecoder) value(rv reflect.Value) error {
 		rv.SetString(string(d.take(n)))
 		return nil
 	case reflect.Slice:
-		p, err := d.byte()
+		present, err := d.presence()
 		if err != nil {
 			return err
 		}
-		if p == 0 {
+		if !present {
 			rv.SetZero()
 			return nil
-		}
-		if p != 1 {
-			return fmt.Errorf("%w: bad presence byte %d", errBinary, p)
 		}
 		n, err := d.length()
 		if err != nil {
 			return err
 		}
-		if rv.Type().Elem().Kind() == reflect.Uint8 {
+		if p.bytes {
 			b := make([]byte, n)
 			copy(b, d.take(n))
 			rv.SetBytes(b)
 			return nil
 		}
-		// Grow incrementally so allocation tracks the bytes actually
-		// decoded, not a hostile declared count.
-		s := reflect.MakeSlice(rv.Type(), 0, 0)
-		elem := reflect.New(rv.Type().Elem()).Elem()
+		if p.elem.minLen > 0 && n > d.remaining()/p.elem.minLen {
+			return fmt.Errorf("%w: %d elements cannot fit in %d remaining bytes", errBinary, n, d.remaining())
+		}
+		// Elements decode straight into the fresh slice's backing array.
+		s := reflect.MakeSlice(p.typ, n, n)
 		for i := 0; i < n; i++ {
-			elem.SetZero()
-			if err := d.value(elem); err != nil {
+			if err := d.value(p.elem, s.Index(i)); err != nil {
 				return err
 			}
-			s = reflect.Append(s, elem)
 		}
 		rv.Set(s)
 		return nil
 	case reflect.Pointer:
-		p, err := d.byte()
+		present, err := d.presence()
 		if err != nil {
 			return err
 		}
-		if p == 0 {
+		if !present {
 			rv.SetZero()
 			return nil
 		}
-		if p != 1 {
-			return fmt.Errorf("%w: bad presence byte %d", errBinary, p)
+		ptr := reflect.New(p.elem.typ)
+		if err := d.value(p.elem, ptr.Elem()); err != nil {
+			return err
 		}
-		rv.Set(reflect.New(rv.Type().Elem()))
-		return d.value(rv.Elem())
+		rv.Set(ptr)
+		return nil
 	case reflect.Struct:
-		t := rv.Type()
-		for i := 0; i < t.NumField(); i++ {
-			if !t.Field(i).IsExported() {
-				continue
-			}
-			if err := d.value(rv.Field(i)); err != nil {
+		for _, f := range p.fields {
+			if err := d.value(f.plan, rv.Field(f.index)); err != nil {
 				return err
 			}
 		}
@@ -315,16 +413,28 @@ func (d *binDecoder) value(rv reflect.Value) error {
 		}
 		return nil
 	case reflect.Interface:
-		p, err := d.byte()
+		b, err := d.byte()
 		if err != nil {
 			return err
 		}
-		if p != 0 {
-			return fmt.Errorf("%w: non-nil interface field %s on the wire", errBinary, rv.Type())
+		if b != 0 {
+			return fmt.Errorf("%w: non-nil interface field %s on the wire", errBinary, p.typ)
 		}
 		rv.SetZero()
 		return nil
 	default:
-		return fmt.Errorf("%w: unsupported kind %s", errBinary, rv.Kind())
+		return fmt.Errorf("%w: unsupported kind %s", errBinary, p.kind)
 	}
+}
+
+// presence reads a pointer's or slice's presence byte.
+func (d *binDecoder) presence() (bool, error) {
+	b, err := d.byte()
+	if err != nil {
+		return false, err
+	}
+	if b > 1 {
+		return false, fmt.Errorf("%w: bad presence byte %d", errBinary, b)
+	}
+	return b == 1, nil
 }

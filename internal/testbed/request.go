@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"sync"
 
 	"repro/internal/energy"
@@ -83,24 +84,56 @@ func (r Request) op() RequestOp {
 // encoding of every field except Seed (struct-order keys, shortest
 // round-trip floats, no maps — so the bytes are deterministic). Two
 // requests with equal fingerprints describe the same work on the same
-// inputs; a memoizing cache keys on (Fingerprint, Seed). Requests that
+// inputs; the persistent cache keys on (Fingerprint, Seed), and the
+// in-memory cache on AppendKey, its binary twin. Requests that
 // are not wire-safe have no fingerprint: a process-local path-loss
 // model's behaviour is not captured by its JSON encoding, so two
 // distinct models could otherwise collide on one key and a cache would
 // serve the wrong measurement. Such requests execute uncached, on
 // in-process backends only.
 func (r Request) Fingerprint() (string, error) {
+	b, err := r.fingerprint()
+	return string(b), err
+}
+
+// fingerprint returns the fingerprint's bytes, for callers that only
+// hash them.
+func (r Request) fingerprint() ([]byte, error) {
 	if err := r.WireSafe(); err != nil {
-		return "", err
+		return nil, err
 	}
 	c := r
 	c.Op = r.op()
 	c.Seed = 0
 	b, err := json.Marshal(c)
 	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrRequest, err)
+		return nil, fmt.Errorf("%w: %v", ErrRequest, err)
 	}
-	return string(b), nil
+	return b, nil
+}
+
+// AppendKey appends the request's memory-cache key to dst: the compact
+// binary encoding of every field, Seed included, with Op normalised so
+// "" and OpMeasure share a key. It is the binary twin of
+// (Fingerprint, Seed) at a fraction of the cost. It fails exactly where
+// Fingerprint does — requests that are not wire-safe, and non-finite
+// floats, which JSON cannot encode — and equal keys imply equal
+// (Fingerprint, Seed). The converse holds for every value JSON spells
+// uniquely; the rare spellings JSON merges (-0 in an omitempty field,
+// invalid UTF-8) get distinct keys, which costs a cache a duplicate
+// measurement, never a wrong one.
+func (r Request) AppendKey(dst []byte) ([]byte, error) {
+	if err := r.WireSafe(); err != nil {
+		return dst, err
+	}
+	c := r
+	c.Op = r.op()
+	rv := reflect.ValueOf(&c).Elem()
+	key, err := binEncoder{finite: true}.append(dst, planFor(rv.Type()), rv)
+	if err != nil {
+		return dst, fmt.Errorf("%w: %v", ErrRequest, err)
+	}
+	return key, nil
 }
 
 // ContentSeed derives the request's deterministic monitor-noise seed from
@@ -111,12 +144,12 @@ func (r Request) Fingerprint() (string, error) {
 // noise stream and yields the same observation, making cross-experiment
 // memoization sound.
 func (r Request) ContentSeed(base int64) (int64, error) {
-	fp, err := r.Fingerprint()
+	fp, err := r.fingerprint()
 	if err != nil {
 		return 0, err
 	}
 	h := fnv.New64a()
-	h.Write([]byte(fp))
+	h.Write(fp)
 	z := uint64(base) ^ h.Sum64()
 	z += 0x9e3779b97f4a7c15
 	z ^= z >> 30
@@ -141,10 +174,36 @@ func (r Request) WireSafe() error {
 	if r.Scenario.Coop != nil && r.Scenario.Coop.Link.Loss != nil {
 		return fmt.Errorf("%w: cooperation-link path-loss model is process-local and cannot cross a worker boundary", ErrRequest)
 	}
+	if err := r.checkWork(); err != nil {
+		return err
+	}
 	if r.op() == OpSession {
 		if err := r.Session.Validate(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkWork enforces the work caps (MaxTrials, MaxTrainRows,
+// MaxTestRows) on a request.
+func (r Request) checkWork() error {
+	if r.Trials > MaxTrials {
+		return fmt.Errorf("%w: trials %d exceeds the cap of %d", ErrRequest, r.Trials, MaxTrials)
+	}
+	if r.Fit != nil {
+		return r.Fit.checkWork()
+	}
+	return nil
+}
+
+// checkWork enforces the dataset-size caps on a fit config.
+func (fc FitConfig) checkWork() error {
+	if fc.TrainRows > MaxTrainRows {
+		return fmt.Errorf("%w: fit train rows %d exceeds the cap of %d", ErrRequest, fc.TrainRows, MaxTrainRows)
+	}
+	if fc.TestRows > MaxTestRows {
+		return fmt.Errorf("%w: fit test rows %d exceeds the cap of %d", ErrRequest, fc.TestRows, MaxTestRows)
 	}
 	return nil
 }
@@ -169,11 +228,19 @@ func (b *Bench) Do(req Request) (Measurement, error) {
 type Executor struct {
 	bench *Bench
 
+	// fit builds the model bundle for a config; tests substitute it.
+	fit func(FitConfig) (energy.Models, error)
+
 	mu   sync.Mutex
-	fits map[FitConfig]fitEntry
+	fits map[FitConfig]*fitEntry
 }
 
+// fitEntry is one config's bundle, fitted at most once: the first
+// caller runs the fit, later ones wait on once, and e.mu is held only
+// to find or create the entry — never across a fit, so other configs'
+// analyses never queue behind an unrelated refit.
 type fitEntry struct {
+	once   sync.Once
 	models energy.Models
 	err    error
 }
@@ -185,7 +252,7 @@ func NewExecutor(bench *Bench) *Executor {
 	if bench == nil {
 		bench = NewBench(0)
 	}
-	return &Executor{bench: bench, fits: make(map[FitConfig]fitEntry)}
+	return &Executor{bench: bench, fit: fitBundle, fits: make(map[FitConfig]*fitEntry)}
 }
 
 // Do executes one request.
@@ -201,6 +268,9 @@ func (e *Executor) Do(req Request) (Measurement, error) {
 // context every frame, which is what lets a dispatcher kill an in-flight
 // population shard mid-run.
 func (e *Executor) DoContext(ctx context.Context, req Request) (Measurement, error) {
+	if err := req.checkWork(); err != nil {
+		return Measurement{}, err
+	}
 	switch req.op() {
 	case OpMeasure:
 		return e.bench.Do(req)
@@ -217,11 +287,11 @@ func (e *Executor) DoContext(ctx context.Context, req Request) (Measurement, err
 // outcome in a WireItem — request-level failures are carried per item,
 // never failing the batch — after resolving every distinct FitConfig in
 // the batch exactly once. The per-batch prefetch means analyze-heavy
-// batches take the refit mutex once per distinct config instead of once
-// per cell; the memoized map still backs it, so a config refits at most
-// once per executor lifetime regardless of batching.
+// batches look up the fit table once per distinct config instead of
+// once per cell; the memoized table still backs it, so a config refits
+// at most once per executor lifetime regardless of batching.
 func (e *Executor) DoBatch(ctx context.Context, reqs []Request) []WireItem {
-	var prefetch map[FitConfig]fitEntry
+	var prefetch map[FitConfig]*fitEntry
 	for _, r := range reqs {
 		if r.op() != OpAnalyze || r.Fit == nil {
 			continue
@@ -230,10 +300,9 @@ func (e *Executor) DoBatch(ctx context.Context, reqs []Request) []WireItem {
 			continue
 		}
 		if prefetch == nil {
-			prefetch = make(map[FitConfig]fitEntry)
+			prefetch = make(map[FitConfig]*fitEntry)
 		}
-		models, err := e.models(r.Fit)
-		prefetch[*r.Fit] = fitEntry{models: models, err: err}
+		prefetch[*r.Fit] = e.fitted(*r.Fit)
 	}
 	items := make([]WireItem, len(reqs))
 	for i, r := range reqs {
@@ -262,7 +331,7 @@ func (e *Executor) analyze(req Request) (Measurement, error) {
 // analyzePrefetched is analyze against a batch-local bundle map;
 // configs missing from it (or a nil map) resolve through the memoized
 // executor path.
-func (e *Executor) analyzePrefetched(req Request, prefetch map[FitConfig]fitEntry) (Measurement, error) {
+func (e *Executor) analyzePrefetched(req Request, prefetch map[FitConfig]*fitEntry) (Measurement, error) {
 	if req.Scenario == nil {
 		return Measurement{}, fmt.Errorf("%w: nil scenario", ErrRequest)
 	}
@@ -284,7 +353,7 @@ func (e *Executor) analyzePrefetched(req Request, prefetch map[FitConfig]fitEntr
 
 // resolveModels consults the batch-local prefetch before the memoized
 // executor map.
-func (e *Executor) resolveModels(fc *FitConfig, prefetch map[FitConfig]fitEntry) (energy.Models, error) {
+func (e *Executor) resolveModels(fc *FitConfig, prefetch map[FitConfig]*fitEntry) (energy.Models, error) {
 	if fc != nil && prefetch != nil {
 		if ent, ok := prefetch[*fc]; ok {
 			return ent.models, ent.err
@@ -300,23 +369,41 @@ func (e *Executor) models(fc *FitConfig) (energy.Models, error) {
 	if fc == nil {
 		return energy.PaperModels(), nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ent, ok := e.fits[*fc]; ok {
-		return ent.models, ent.err
+	ent := e.fitted(*fc)
+	return ent.models, ent.err
+}
+
+// fitted returns fc's entry once its fit has run. Configs over the work
+// caps fail without fitting, and without an entry in the table.
+func (e *Executor) fitted(fc FitConfig) *fitEntry {
+	if err := fc.checkWork(); err != nil {
+		return &fitEntry{err: err}
 	}
-	ent := fitEntry{}
+	e.mu.Lock()
+	ent, ok := e.fits[fc]
+	if !ok {
+		ent = &fitEntry{}
+		e.fits[fc] = ent
+	}
+	e.mu.Unlock()
+	ent.once.Do(func() {
+		if ent.models, ent.err = e.fit(fc); ent.err != nil {
+			ent.err = fmt.Errorf("refit %+v: %w", fc, ent.err)
+		}
+	})
+	return ent
+}
+
+// fitBundle fits the analytical model bundle a config identifies.
+func fitBundle(fc FitConfig) (energy.Models, error) {
 	fitted, err := NewBench(fc.Seed).FitModels(fc.TrainRows, fc.TestRows)
 	if err != nil {
-		ent.err = fmt.Errorf("refit %+v: %w", *fc, err)
-	} else {
-		lm := latency.Models{
-			Resource:   fitted.Resource,
-			Encoder:    fitted.Encoder,
-			Complexity: fitted.Complexity,
-		}
-		ent.models = energy.Models{Latency: lm, Power: fitted.Power}
+		return energy.Models{}, err
 	}
-	e.fits[*fc] = ent
-	return ent.models, ent.err
+	lm := latency.Models{
+		Resource:   fitted.Resource,
+		Encoder:    fitted.Encoder,
+		Complexity: fitted.Complexity,
+	}
+	return energy.Models{Latency: lm, Power: fitted.Power}, nil
 }
