@@ -168,15 +168,42 @@ func TestServerFlagErrors(t *testing.T) {
 // TestReportByteIdenticalUnderChaos pins the chaos satellite at the
 // report level: the full Markdown report generated over a net fleet
 // whose first node dies repeatedly mid-stream is byte-identical to the
-// pool backend's. Each connection to that node dies right after its
-// first batch result: the report's few dozen cells spread over pooled
-// connections, so a connection may never carry a second result. Three
-// deaths keep every batch within its dispatch budget (two attempts per
-// node).
+// pool backend's. Every connection to that node is killed when its
+// third frame arrives (the hello and one batch result pass; the second
+// result is dropped), with no limit on the number of deaths.
 func TestReportByteIdenticalUnderChaos(t *testing.T) {
 	want := runCLI(t, append([]string{"report", "-workers", "2"}, fastFlags...)...)
 	proxy, err := sweep.NewChaosProxy(startServeNodes(t, 1), sweep.ChaosConfig{
-		CrashAfterFrames: 2, // the hello, then one batch result
+		CrashAfterFrames: 3,
+		MaxCrashes:       -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	nodes := proxy.Addr() + "," + startServeNodes(t, 1)
+	got := runCLI(t, append([]string{"report", "-backend", "net", "-nodes", nodes, "-workers", "2"}, fastFlags...)...)
+	if got != want {
+		t.Fatal("report bytes diverge under injected node death")
+	}
+	if proxy.Crashes() == 0 {
+		t.Fatal("chaos proxy injected no crashes; the test exercised nothing")
+	}
+}
+
+// TestReportByteIdenticalUnderBoundedChaos is the bounded companion of
+// TestReportByteIdenticalUnderChaos: the first three connections to the
+// proxied node are killed when their second frame arrives, so the hello
+// passes and the first batch result is dropped; later connections pass
+// through untouched. The first result routed through the proxy always
+// triggers a crash, which the unlimited case cannot promise: there a
+// connection must carry two results before it dies. Three deaths stay
+// inside each batch's dispatch budget (two attempts per node), so the
+// report must come out whole and byte-identical.
+func TestReportByteIdenticalUnderBoundedChaos(t *testing.T) {
+	want := runCLI(t, append([]string{"report", "-workers", "2"}, fastFlags...)...)
+	proxy, err := sweep.NewChaosProxy(startServeNodes(t, 1), sweep.ChaosConfig{
+		CrashAfterFrames: 2,
 		MaxCrashes:       3,
 	})
 	if err != nil {

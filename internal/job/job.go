@@ -153,8 +153,7 @@ func (s Spec) fleetSpec() fleet.Spec {
 // Validate checks the specification. Zero means "use the default" for
 // every count (workers, procs, trials, rows), so only negatives — which
 // no default resolves — are rejected, plus trial and row counts above
-// the testbed's work caps, which would let one job pin a server slot
-// for hours; the backend/fleet combination must
+// the testbed's work caps; the backend/fleet combination must
 // be coherent both ways (net needs exactly one membership source, fleet
 // options need net).
 func (s Spec) Validate() error {

@@ -18,12 +18,13 @@ const (
 	PaperTestRows  = 36083
 )
 
-// Work caps: the most a single request or job document may ask for.
-// They sit well above paper scale — ten times its dataset sizes, and a
-// trial count far beyond what averaging monitor noise needs — so every
-// evaluation the paper describes fits, while one document can no longer
-// pin a node or a server slot for hours. Request.WireSafe and the
-// executor enforce them on the wire; job.Spec.Validate at the door.
+// Work caps: the most trials and fit rows a single request or job
+// document may ask for. They sit well above paper scale — ten times its
+// dataset sizes, and a trial count far beyond what averaging monitor
+// noise needs — so every evaluation the paper describes fits, while
+// neither count can grow without bound. Session sizes are not capped.
+// Request.WireSafe and the executor enforce them on the wire;
+// job.Spec.Validate at the door.
 const (
 	MaxTrainRows = 10 * PaperTrainRows
 	MaxTestRows  = 10 * PaperTestRows

@@ -188,11 +188,19 @@ func (r Request) WireSafe() error {
 // checkWork enforces the work caps (MaxTrials, MaxTrainRows,
 // MaxTestRows) on a request.
 func (r Request) checkWork() error {
-	if r.Trials > MaxTrials {
-		return fmt.Errorf("%w: trials %d exceeds the cap of %d", ErrRequest, r.Trials, MaxTrials)
+	if err := r.checkTrials(); err != nil {
+		return err
 	}
 	if r.Fit != nil {
 		return r.Fit.checkWork()
+	}
+	return nil
+}
+
+// checkTrials enforces the trial cap (MaxTrials).
+func (r Request) checkTrials() error {
+	if r.Trials > MaxTrials {
+		return fmt.Errorf("%w: trials %d exceeds the cap of %d", ErrRequest, r.Trials, MaxTrials)
 	}
 	return nil
 }
@@ -266,13 +274,15 @@ func (e *Executor) Do(req Request) (Measurement, error) {
 // Measure and analyze requests are single frames and complete regardless;
 // session requests — potentially thousands of users × frames — check the
 // context every frame, which is what lets a dispatcher kill an in-flight
-// population shard mid-run.
+// population shard mid-run. The node-side work caps are checked where
+// the work is done: the trial cap here, before a measurement, and the
+// fit-row caps in fitted, before a fit.
 func (e *Executor) DoContext(ctx context.Context, req Request) (Measurement, error) {
-	if err := req.checkWork(); err != nil {
-		return Measurement{}, err
-	}
 	switch req.op() {
 	case OpMeasure:
+		if err := req.checkTrials(); err != nil {
+			return Measurement{}, err
+		}
 		return e.bench.Do(req)
 	case OpAnalyze:
 		return e.analyze(req)
