@@ -172,23 +172,7 @@ func TestServerFlagErrors(t *testing.T) {
 // third frame arrives (the hello and one batch result pass; the second
 // result is dropped), with no limit on the number of deaths.
 func TestReportByteIdenticalUnderChaos(t *testing.T) {
-	want := runCLI(t, append([]string{"report", "-workers", "2"}, fastFlags...)...)
-	proxy, err := sweep.NewChaosProxy(startServeNodes(t, 1), sweep.ChaosConfig{
-		CrashAfterFrames: 3,
-		MaxCrashes:       -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	nodes := proxy.Addr() + "," + startServeNodes(t, 1)
-	got := runCLI(t, append([]string{"report", "-backend", "net", "-nodes", nodes, "-workers", "2"}, fastFlags...)...)
-	if got != want {
-		t.Fatal("report bytes diverge under injected node death")
-	}
-	if proxy.Crashes() == 0 {
-		t.Fatal("chaos proxy injected no crashes; the test exercised nothing")
-	}
+	reportUnderChaos(t, sweep.ChaosConfig{CrashAfterFrames: 3, MaxCrashes: -1})
 }
 
 // TestReportByteIdenticalUnderBoundedChaos is the bounded companion of
@@ -201,11 +185,16 @@ func TestReportByteIdenticalUnderChaos(t *testing.T) {
 // inside each batch's dispatch budget (two attempts per node), so the
 // report must come out whole and byte-identical.
 func TestReportByteIdenticalUnderBoundedChaos(t *testing.T) {
+	reportUnderChaos(t, sweep.ChaosConfig{CrashAfterFrames: 2, MaxCrashes: 3})
+}
+
+// reportUnderChaos generates the report over a two-node net fleet whose
+// first node sits behind a chaos proxy configured by cfg, and checks it
+// against the pool backend's bytes and that the proxy injected a crash.
+func reportUnderChaos(t *testing.T, cfg sweep.ChaosConfig) {
+	t.Helper()
 	want := runCLI(t, append([]string{"report", "-workers", "2"}, fastFlags...)...)
-	proxy, err := sweep.NewChaosProxy(startServeNodes(t, 1), sweep.ChaosConfig{
-		CrashAfterFrames: 2,
-		MaxCrashes:       3,
-	})
+	proxy, err := sweep.NewChaosProxy(startServeNodes(t, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
