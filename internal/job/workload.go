@@ -15,6 +15,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
+	"repro/internal/testbed"
 )
 
 // Kind selects a job's workload.
@@ -249,6 +250,10 @@ func (j Job) Validate() error {
 		}
 		if p.Shard < 0 {
 			return fmt.Errorf("job: -shard must be >= 0, have %d", p.Shard)
+		}
+		if p = p.withDefaults(); p.Frames > testbed.MaxSessionFrames/p.Users {
+			return fmt.Errorf("job: -users × -frames must be <= %d, have %d × %d",
+				testbed.MaxSessionFrames, p.Users, p.Frames)
 		}
 		if j.format() != "table" {
 			return fmt.Errorf("-format: population renders table output only, have %q", j.Format)

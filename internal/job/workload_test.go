@@ -176,6 +176,11 @@ func TestJobValidate(t *testing.T) {
 		{Kind: KindPopulation, Spec: Default()}, // nil workload = default scenario
 		{Kind: KindPopulation, Spec: Default(), Format: "table",
 			Population: &Population{Scenario: "offload", Users: 12, Frames: 5, Shard: 4}},
+		// The session cap itself is valid, as is the documented
+		// million-user run at the default 120 frames.
+		{Kind: KindPopulation, Spec: Default(),
+			Population: &Population{Users: 1000000, Frames: testbed.MaxSessionFrames / 1000000}},
+		{Kind: KindPopulation, Spec: Default(), Population: &Population{Users: 1000000}},
 	}
 	for i, j := range good {
 		if err := j.Validate(); err != nil {
@@ -199,6 +204,13 @@ func TestJobValidate(t *testing.T) {
 			"job: -frames must be >= 0, have -2"},
 		{Job{Kind: KindPopulation, Spec: Default(), Population: &Population{Shard: -3}},
 			"job: -shard must be >= 0, have -3"},
+		{Job{Kind: KindPopulation, Spec: Default(), Population: &Population{Users: 1000000, Frames: 201}},
+			"job: -users × -frames must be <= 200000000, have 1000000 × 201"},
+		// The cap applies to the resolved defaults (10000 users, 120 frames).
+		{Job{Kind: KindPopulation, Spec: Default(), Population: &Population{Frames: 20001}},
+			"job: -users × -frames must be <= 200000000, have 10000 × 20001"},
+		{Job{Kind: KindPopulation, Spec: Default(), Population: &Population{Users: 1666667}},
+			"job: -users × -frames must be <= 200000000, have 1666667 × 120"},
 		{Job{Kind: KindPopulation, Spec: Default(), Format: "csv"},
 			`-format: population renders table output only, have "csv"`},
 	}

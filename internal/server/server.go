@@ -297,7 +297,23 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, codec string, doc js
 	s.mu.Lock()
 	s.admitted++
 	s.mu.Unlock()
-	defer func() { <-s.admission }()
+	// release frees the job's slots, once. Every path that counts the
+	// job finished releases right after, before writing the job's last
+	// frame, so a client that has read that frame finds the job counted
+	// and its slots free in any later stats query. The defer covers a
+	// return that does neither.
+	var running, released bool
+	release := func() {
+		if released {
+			return
+		}
+		released = true
+		if running {
+			<-s.active
+		}
+		<-s.admission
+	}
+	defer release()
 
 	// The client sends nothing after its job frame, so any read return —
 	// EOF, reset, or an unexpected frame — means the client is gone (or
@@ -316,9 +332,10 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, codec string, doc js
 	case s.active <- struct{}{}:
 	case <-jctx.Done():
 		s.finish(id, admittedAt, admittedAt, fmt.Errorf("job canceled while queued: %w", jctx.Err()))
+		release()
 		return writeErr(conn, codec, jctx.Err())
 	}
-	defer func() { <-s.active }()
+	running = true
 	if s.cfg.JobTimeout > 0 {
 		var tcancel context.CancelFunc
 		jctx, tcancel = context.WithTimeout(jctx, s.cfg.JobTimeout)
@@ -328,6 +345,7 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, codec string, doc js
 	suite, err := jb.SuiteFor(s.cfg.Runner)
 	if err != nil {
 		s.finish(id, admittedAt, admittedAt, err)
+		release()
 		return writeErr(conn, codec, err)
 	}
 	before := s.cfg.Runner.Stats()
@@ -335,6 +353,7 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, codec string, doc js
 	jb.Stream = true
 	runErr := jb.Run(jctx, suite, &frameWriter{conn: conn, codec: codec})
 	s.finish(id, admittedAt, startedAt, runErr)
+	release()
 	delta := s.cfg.Runner.Stats()
 	s.logf("job %d (%s) done in %s: %d new cells measured, %d served from cache",
 		id, kindName(jb), time.Since(startedAt).Round(time.Millisecond),

@@ -15,9 +15,11 @@ type RNG struct {
 	src *rand.Rand
 }
 
-// NewRNG returns a deterministic RNG seeded with seed.
+// NewRNG returns a deterministic RNG seeded with seed. It draws exactly
+// the stream of rand.New(rand.NewSource(seed)), but seeds lazily, so a
+// short-lived RNG costs a fraction of math/rand's seeding (see source).
 func NewRNG(seed int64) *RNG {
-	return &RNG{src: rand.New(rand.NewSource(seed))}
+	return &RNG{src: rand.New(newSource(seed))}
 }
 
 // Float64 returns a uniform variate in [0,1).

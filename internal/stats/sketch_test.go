@@ -11,8 +11,8 @@ import (
 // sketchSamples draws a reproducible mixed-shape sample set: lognormal
 // bulk (the shape of frame latencies), a heavy uniform tail, and exact
 // zeros (idle frames), exercising the zero ledger and both bucket ends.
-func sketchSamples(t *testing.T, rng *rand.Rand, n int) []float64 {
-	t.Helper()
+func sketchSamples(tb testing.TB, rng *rand.Rand, n int) []float64 {
+	tb.Helper()
 	xs := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		switch {
@@ -264,5 +264,43 @@ func TestSketchDefaultAlpha(t *testing.T) {
 	}
 	if s := NewSketch(-3); s.Alpha != DefaultSketchAlpha {
 		t.Fatalf("NewSketch(-3).Alpha = %v, want %v", s.Alpha, DefaultSketchAlpha)
+	}
+}
+
+// BenchmarkSketchAdd times one sample folded into a sketch that already
+// spans the samples' range, as in a long session.
+func BenchmarkSketchAdd(b *testing.B) {
+	xs := sketchSamples(b, rand.New(rand.NewSource(1)), 4096)
+	s := NewSketch(0)
+	for _, x := range xs {
+		if err := s.Add(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Add(xs[i%len(xs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSketchMerge times folding one session's 1000-frame sketch into
+// a population accumulator, the population sweep's per-request merge.
+func BenchmarkSketchMerge(b *testing.B) {
+	o := NewSketch(0)
+	for _, x := range sketchSamples(b, rand.New(rand.NewSource(2)), 1000) {
+		if err := o.Add(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+	acc := NewSketch(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := acc.Merge(o); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -224,13 +224,13 @@ func TestProcRunnerBadCommand(t *testing.T) {
 // in-flight round trips and return promptly with context.Canceled — the
 // subprocess pipe must not hold the sweep hostage.
 func TestProcRunnerCancelMidShard(t *testing.T) {
-	// Session cohorts far too large to finish: the work caps bound trial
-	// counts, but one session request may still run for minutes.
+	// A session request at the work cap: valid, and far too large to
+	// finish before the cancel.
 	reqs := testRequests(t, 1)
 	for i := range reqs {
 		reqs[i].Op = testbed.OpSession
 		reqs[i].Trials = 0
-		reqs[i].Session = &testbed.SessionConfig{Frames: 10000, Users: 10000}
+		reqs[i].Session = &testbed.SessionConfig{Users: 10000, Frames: testbed.MaxSessionFrames / 10000}
 	}
 	pr := &ProcRunner{Procs: 2}
 	defer pr.Close()

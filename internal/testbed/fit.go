@@ -18,17 +18,22 @@ const (
 	PaperTestRows  = 36083
 )
 
-// Work caps: the most trials and fit rows a single request or job
-// document may ask for. They sit well above paper scale — ten times its
-// dataset sizes, and a trial count far beyond what averaging monitor
-// noise needs — so every evaluation the paper describes fits, while
-// neither count can grow without bound. Session sizes are not capped.
-// Request.WireSafe and the executor enforce them on the wire;
-// job.Spec.Validate at the door.
+// Work caps: the most trials, fit rows and session frames a single
+// request or job document may ask for. They sit well above paper scale —
+// ten times its dataset sizes, a trial count far beyond what averaging
+// monitor noise needs, and a million-user cohort at 200 frames each — so
+// every evaluation the paper describes fits, while no count can grow
+// without bound. Request.WireSafe and the executor enforce them on the
+// wire; job.Spec.Validate (trials, rows) and Job.Validate (a population's
+// users × frames) at the door.
 const (
 	MaxTrainRows = 10 * PaperTrainRows
 	MaxTestRows  = 10 * PaperTestRows
 	MaxTrials    = 10000
+
+	// MaxSessionFrames caps users × frames: the frames one session
+	// request, or one population job in total, simulates.
+	MaxSessionFrames = 200_000_000
 )
 
 // ErrFit indicates a fitting failure.

@@ -127,6 +127,11 @@ func TestWorkCaps(t *testing.T) {
 	if err := atCap.WireSafe(); err != nil {
 		t.Fatalf("request at the caps rejected: %v", err)
 	}
+	atCap.Op, atCap.Fit = OpSession, nil
+	atCap.Session = &SessionConfig{Users: 10000, Frames: MaxSessionFrames / 10000}
+	if err := atCap.WireSafe(); err != nil {
+		t.Fatalf("session at the cap rejected: %v", err)
+	}
 	cases := []struct {
 		name   string
 		mutate func(*Request)
@@ -142,6 +147,14 @@ func TestWorkCaps(t *testing.T) {
 			r.Op = OpAnalyze
 			r.Fit = &FitConfig{TrainRows: 2000, TestRows: 360831}
 		}, "testbed: invalid request: fit test rows 360831 exceeds the cap of 360830"},
+		{"session frames", func(r *Request) {
+			r.Op = OpSession
+			r.Session = &SessionConfig{Users: 10000, Frames: 20001}
+		}, "testbed: invalid request: session users × frames 10000 × 20001 exceeds the cap of 200000000"},
+		{"session frames, one user", func(r *Request) {
+			r.Op = OpSession
+			r.Session = &SessionConfig{Frames: 200000001}
+		}, "testbed: invalid request: session users × frames 1 × 200000001 exceeds the cap of 200000000"},
 	}
 	for _, tc := range cases {
 		req := workerRequest(t, 5)

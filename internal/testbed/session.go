@@ -78,6 +78,10 @@ func (c *SessionConfig) Validate() error {
 	if c.Users < 0 {
 		return fmt.Errorf("%w: session users %d", ErrRequest, c.Users)
 	}
+	if c.Frames > MaxSessionFrames/c.users() {
+		return fmt.Errorf("%w: session users × frames %d × %d exceeds the cap of %d",
+			ErrRequest, c.users(), c.Frames, MaxSessionFrames)
+	}
 	if c.BatteryMAh < 0 || c.BatteryVolts < 0 {
 		return fmt.Errorf("%w: battery %v mAh @ %v V", ErrRequest, c.BatteryMAh, c.BatteryVolts)
 	}
