@@ -191,6 +191,9 @@ func TestReportByteIdenticalUnderBoundedChaos(t *testing.T) {
 // reportUnderChaos generates the report over a two-node net fleet whose
 // first node sits behind a chaos proxy configured by cfg, and checks it
 // against the pool backend's bytes and that the proxy injected a crash.
+// The second node's answers are withheld until that first crash, so the
+// faulty node carries work before the healthy one can drain the report
+// and the fault fires on every run.
 func reportUnderChaos(t *testing.T, cfg sweep.ChaosConfig) {
 	t.Helper()
 	want := runCLI(t, append([]string{"report", "-workers", "2"}, fastFlags...)...)
@@ -199,7 +202,12 @@ func reportUnderChaos(t *testing.T, cfg sweep.ChaosConfig) {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
-	nodes := proxy.Addr() + "," + startServeNodes(t, 1)
+	held, err := sweep.NewChaosProxy(startServeNodes(t, 1), sweep.ChaosConfig{Hold: proxy.Crashed()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	nodes := proxy.Addr() + "," + held.Addr()
 	got := runCLI(t, append([]string{"report", "-backend", "net", "-nodes", nodes, "-workers", "2"}, fastFlags...)...)
 	if got != want {
 		t.Fatal("report bytes diverge under injected node death")

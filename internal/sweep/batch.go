@@ -110,7 +110,9 @@ type batchTransport interface {
 	// recv reads one batch-result frame; errors are retryable worker
 	// failures.
 	recv() (testbed.WireBatchResult, error)
-	// success records one healthy batch round trip (resets quarantine).
+	// success records one healthy batch round trip. The proc backend
+	// resets its spawn quarantine on it; the net backend ignores it, so
+	// a node that dies after answering still counts its deaths.
 	success()
 	// reject converts a request-level rejection reported by a healthy
 	// worker into its non-retryable error.
@@ -137,6 +139,14 @@ type batchTransport interface {
 // how long from send to receive.
 type batchObserver interface {
 	observe(cells int, elapsed time.Duration)
+}
+
+// batchBencher is optionally implemented by transports whose source can
+// be quarantined while the transport is checked out (the net backend: a
+// node benched because its other connections died). The dispatcher sends
+// a benched transport no further batches.
+type batchBencher interface {
+	benched() bool
 }
 
 // batchConfig parameterizes one dispatch run.
@@ -774,6 +784,17 @@ send:
 			break send
 		case rerr = <-recvDone:
 			recvSeen = true
+			break send
+		}
+		if bb, ok := t.(batchBencher); ok && bb.benched() {
+			// The source was quarantined while this transport was checked
+			// out. Sending it more work would hand batches to a node that
+			// keeps killing connections, charging each an attempt; requeue
+			// the batch uncharged and wind the drive down once its window
+			// is answered.
+			<-sem
+			d.requeue(j)
+			j = nil
 			break send
 		}
 		//xrlint:allow determinism -- send timestamp for steal age and latency weights, never measurement data

@@ -45,6 +45,11 @@ type ChaosConfig struct {
 	// The handshake (first) frame passes undelayed: the model is a slow
 	// worker behind a healthy connection, not a slow network.
 	FrameDelay time.Duration
+	// Hold, when non-nil, withholds every node→client answer frame until
+	// it closes; the handshake passes at once. A test fronts a healthy
+	// node with it (often holding on another proxy's Crashed) to order
+	// that node's answers after a fault instead of racing it.
+	Hold <-chan struct{}
 }
 
 // ChaosProxy is a frame-aware TCP proxy in front of one serve node. The
@@ -58,6 +63,8 @@ type ChaosProxy struct {
 	crashBudget atomic.Int64
 	conns       atomic.Int64
 	crashes     atomic.Int64
+	crashed     chan struct{}
+	done        chan struct{}
 
 	mu     sync.Mutex
 	closed bool
@@ -71,7 +78,7 @@ func NewChaosProxy(target string, cfg ChaosConfig) (*ChaosProxy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: chaos proxy listen: %w", err)
 	}
-	p := &ChaosProxy{cfg: cfg, ln: ln, live: make(map[net.Conn]struct{})}
+	p := &ChaosProxy{cfg: cfg, ln: ln, crashed: make(chan struct{}), done: make(chan struct{}), live: make(map[net.Conn]struct{})}
 	budget := int64(cfg.MaxCrashes)
 	if cfg.MaxCrashes < 0 {
 		budget = int64(1) << 62
@@ -90,6 +97,10 @@ func (p *ChaosProxy) Conns() int { return int(p.conns.Load()) }
 // Crashes counts injected connection kills.
 func (p *ChaosProxy) Crashes() int { return int(p.crashes.Load()) }
 
+// Crashed returns a channel closed at the first injected kill, so a test
+// can hold the rest of a fleet back until the fault has happened.
+func (p *ChaosProxy) Crashed() <-chan struct{} { return p.crashed }
+
 // Close stops the proxy and kills every live connection.
 func (p *ChaosProxy) Close() error {
 	p.mu.Lock()
@@ -98,6 +109,7 @@ func (p *ChaosProxy) Close() error {
 		return nil
 	}
 	p.closed = true
+	close(p.done)
 	_ = p.ln.Close()
 	for c := range p.live {
 		_ = c.Close()
@@ -181,8 +193,17 @@ func (p *ChaosProxy) proxy(client net.Conn, target string) {
 		if p.cfg.FrameDelay > 0 && frames > 1 {
 			time.Sleep(p.cfg.FrameDelay)
 		}
+		if p.cfg.Hold != nil && frames > 1 {
+			select {
+			case <-p.cfg.Hold:
+			case <-p.done:
+				return
+			}
+		}
 		if p.cfg.CrashAfterFrames > 0 && frames >= p.cfg.CrashAfterFrames && p.crashBudget.Add(-1) >= 0 {
-			p.crashes.Add(1)
+			if p.crashes.Add(1) == 1 {
+				close(p.crashed)
+			}
 			if p.cfg.CrashMidFrame {
 				// Truncate inside the payload: the dispatcher reads a
 				// valid header, then hits ErrUnexpectedEOF mid-frame.

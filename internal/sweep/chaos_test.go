@@ -11,7 +11,10 @@ import (
 
 // chaosFleet builds a two-node fleet where the first node sits behind a
 // fault-injecting proxy, plus the pool-backend baseline the fleet's
-// output must reproduce bit for bit. Batch is pinned to 1 so the
+// output must reproduce bit for bit. The second, healthy node answers
+// nothing until the proxy has injected its first crash, so the fault
+// is exercised however fast the healthy node could drain the sweep
+// alone. Batch is pinned to 1 so the
 // proxy's frame-count crash points land where the per-request tests
 // expect them; the batch-granular kill points get their own tests
 // below.
@@ -27,7 +30,7 @@ func chaosFleet(t *testing.T, cfg ChaosConfig, trials int) (*ChaosProxy, *NetRun
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { proxy.Close() })
-	nr := &NetRunner{Nodes: []string{proxy.Addr(), startServeNode(t)}, ConnsPerNode: 1, Batch: 1}
+	nr := &NetRunner{Nodes: []string{proxy.Addr(), startGatedServeNode(t, proxy.Crashed())}, ConnsPerNode: 1, Batch: 1}
 	t.Cleanup(func() { nr.Close() })
 	return proxy, nr, reqs, want
 }

@@ -39,8 +39,9 @@ func retryable(err error) bool {
 
 // Quarantine policy shared by the dispatching backends: a source that
 // fails quarantineAfter times in a row is benched for backoffBase,
-// doubling on each further failure up to backoffMax; any success resets
-// it.
+// doubling on each further failure up to backoffMax. A success resets
+// the streak, and so does a quiet spell: a failure more than backoffMax
+// after the previous one starts a new streak.
 const (
 	quarantineAfter = 3
 	backoffBase     = 250 * time.Millisecond
@@ -56,6 +57,7 @@ const (
 type sourceHealth struct {
 	mu          sync.Mutex
 	consecutive int
+	lastFail    time.Time
 	until       time.Time
 	lastErr     error
 	poison      error
@@ -106,6 +108,10 @@ func mix64(x uint64) uint64 {
 func (h *sourceHealth) failure(now time.Time, cause error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if now.Sub(h.lastFail) > backoffMax {
+		h.consecutive = 0
+	}
+	h.lastFail = now
 	h.consecutive++
 	if cause != nil {
 		h.lastErr = cause

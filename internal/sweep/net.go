@@ -78,10 +78,12 @@ func (s staticMembers) Changed(uint64) <-chan struct{} { return nil }
 // mid-batch — crash, disconnect, kill — has its unanswered batches
 // re-dispatched to a healthy node, and a node that keeps failing is
 // quarantined with exponential backoff (sourceHealth) so the fleet
-// routes around it and probes it again later. Requests must be
-// wire-safe (Request.WireSafe); measurements depend only on request
-// content and the deterministic hidden physics, so any healthy node
-// produces the same bytes and re-dispatch never changes the output.
+// routes around it and probes it again later. A connection death counts
+// against its node even when the connection answered batches first;
+// the streak ends only after a quiet spell with no deaths. Requests
+// must be wire-safe (Request.WireSafe); measurements depend only on
+// request content and the deterministic hidden physics, so any healthy
+// node produces the same bytes and re-dispatch never changes the output.
 type NetRunner struct {
 	// Nodes lists the serve-node addresses (host:port). Required unless
 	// Members is set.
@@ -708,7 +710,20 @@ func (t *netTransport) recv() (testbed.WireBatchResult, error) {
 	return res, nil
 }
 
-func (t *netTransport) success() { t.c.node.health.success() }
+// success implements batchTransport without touching the node's failure
+// streak: an answered batch proves little about a connection that may
+// still die before its next answer, and a node that answers once per
+// connection and then drops it would otherwise reset its streak on every
+// connection and never be quarantined — weighted checkout would keep
+// routing batches back to it until one ran out of dispatch attempts. A
+// node's streak ends with a quiet spell instead (sourceHealth.failure).
+func (t *netTransport) success() {}
+
+// benched implements batchBencher: the connection's node is quarantined.
+func (t *netTransport) benched() bool {
+	//xrlint:allow determinism -- quarantine-release comparison clock, never measurement data
+	return t.c.node.health.quarantinedFor(time.Now()) > 0
+}
 
 func (t *netTransport) reject(msg string) error {
 	// Request-level rejection from a healthy node: deterministic, never

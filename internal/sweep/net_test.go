@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +19,19 @@ import (
 // on a loopback listener for the test's lifetime.
 func startServeNode(t *testing.T) string {
 	t.Helper()
+	return startNode(t, testbed.ServeOptions{})
+}
+
+// startJSONOnlyNode runs a worker-fleet node restricted to the JSON
+// codec — the mixed-fleet fixture.
+func startJSONOnlyNode(t *testing.T) string {
+	t.Helper()
+	return startNode(t, testbed.ServeOptions{JSONOnly: true})
+}
+
+// startNode serves opts on a loopback listener for the test's lifetime.
+func startNode(t *testing.T, opts testbed.ServeOptions) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +40,7 @@ func startServeNode(t *testing.T) string {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = testbed.ServeListener(ctx, ln, nil)
+		_ = testbed.ServeListenerOpts(ctx, ln, nil, opts)
 	}()
 	t.Cleanup(func() {
 		cancel()
@@ -39,29 +53,19 @@ func startServeNode(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// startJSONOnlyNode runs a worker-fleet node restricted to the JSON
-// codec — the mixed-fleet fixture.
-func startJSONOnlyNode(t *testing.T) string {
+// startGatedServeNode runs a worker-fleet node behind a proxy that
+// passes the handshake at once but withholds every answer until gate
+// closes. The node-death tests hold their healthy node on it until the
+// faulty node has seen work; otherwise cheap cells let the healthy node
+// drain the sweep first and the fault is never exercised.
+func startGatedServeNode(t *testing.T, gate <-chan struct{}) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	proxy, err := NewChaosProxy(startServeNode(t), ChaosConfig{Hold: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = testbed.ServeListenerOpts(ctx, ln, nil, testbed.ServeOptions{JSONOnly: true})
-	}()
-	t.Cleanup(func() {
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Error("JSON-only node did not shut down")
-		}
-	})
-	return ln.Addr().String()
+	t.Cleanup(func() { proxy.Close() })
+	return proxy.Addr()
 }
 
 // startRawNode runs a hand-rolled node whose per-connection behaviour is
@@ -144,6 +148,8 @@ func TestNetRunnerRedispatchOnNodeDeath(t *testing.T) {
 	}
 
 	var killed atomic.Int64
+	gate := make(chan struct{})
+	var opened sync.Once
 	flaky := startRawNode(t, func(conn net.Conn) {
 		if err := testbed.WriteFrame(conn, testbed.Hello()); err != nil {
 			return
@@ -156,10 +162,12 @@ func TestNetRunnerRedispatchOnNodeDeath(t *testing.T) {
 		var b testbed.WireBatch
 		if err := testbed.ReadFrameCodec(br, start.Codec, &b); err == nil {
 			killed.Add(1)
+			opened.Do(func() { close(gate) })
 		}
 		// Die mid-shard: the dispatcher is left awaiting a response.
 	})
-	nr := &NetRunner{Nodes: []string{flaky, startServeNode(t)}, ConnsPerNode: 1}
+	// The healthy node answers nothing until the flaky one holds a batch.
+	nr := &NetRunner{Nodes: []string{flaky, startGatedServeNode(t, gate)}, ConnsPerNode: 1}
 	defer nr.Close()
 
 	got, err := nr.Run(context.Background(), reqs)
@@ -173,6 +181,100 @@ func TestNetRunnerRedispatchOnNodeDeath(t *testing.T) {
 	}
 	if killed.Load() == 0 {
 		t.Fatal("flaky node was never exercised; the test proved nothing")
+	}
+}
+
+// TestNetRunnerQuarantinesNodeDyingAfterAnswers pins the retry budget
+// against a node that answers one batch on every connection and then
+// drops the connection with the next batch unanswered. Each death must
+// count against the node although its connection answered first, so
+// the node is quarantined and the sweep finishes elsewhere instead of
+// bouncing batches back to it until one runs out of dispatch attempts.
+// The dying node is the fleet's only member until the dispatcher
+// quarantines it; only then does a healthy node join, which fixes the
+// order of events.
+func TestNetRunnerQuarantinesNodeDyingAfterAnswers(t *testing.T) {
+	reqs := append(testRequests(t, 3), testRequests(t, 4)...)
+	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	exec := testbed.NewExecutor(nil)
+	var drops atomic.Int64
+	dying := startRawNode(t, func(conn net.Conn) {
+		if err := testbed.WriteFrame(conn, testbed.Hello()); err != nil {
+			return
+		}
+		br := bufio.NewReader(conn)
+		var start testbed.WireStart
+		if err := testbed.ReadFrame(br, &start); err != nil {
+			return
+		}
+		var b testbed.WireBatch
+		if err := testbed.ReadFrameCodec(br, start.Codec, &b); err != nil {
+			return
+		}
+		res := testbed.WireBatchResult{ID: b.ID, Items: exec.DoBatch(context.Background(), b.Reqs)}
+		if err := testbed.WriteFrameCodec(conn, start.Codec, res); err != nil {
+			return
+		}
+		if err := testbed.ReadFrameCodec(br, start.Codec, &b); err == nil {
+			drops.Add(1)
+		}
+		// Drop the connection with the second batch unanswered.
+	})
+	path, src := nodesFile(t, dying)
+	nr := &NetRunner{Members: src, ConnsPerNode: 1, Batch: 1}
+	defer nr.Close()
+	if err := nr.init(); err != nil {
+		t.Fatal(err)
+	}
+	nr.nodesMu.Lock()
+	nd := nr.byAddr[dying]
+	nr.nodesMu.Unlock()
+	// The file names the healthy node from here on; the dispatcher sees
+	// it once the quarantine triggers a reload.
+	writeNodesFile(t, path, dying, startServeNode(t))
+	joined := make(chan struct{})
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for nd.health.quarantinedFor(time.Now()) == 0 {
+			select {
+			case <-tick.C:
+			case <-stop:
+				return
+			}
+		}
+		if err := src.Reload(); err != nil {
+			t.Error(err)
+		}
+		close(joined)
+	}()
+
+	// Without the quarantine nothing joins; a bound on the run turns a
+	// stalled sweep into an error instead of a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, err := nr.Run(ctx, reqs)
+	if err != nil {
+		t.Fatalf("fleet with a node dying after each answer must still complete: %v", err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("point %d diverges after re-dispatch", i)
+		}
+	}
+	select {
+	case <-joined:
+	default:
+		t.Fatal("the dying node was never quarantined")
+	}
+	if d := drops.Load(); d < quarantineAfter {
+		t.Fatalf("dying node dropped %d connections, want at least %d", d, quarantineAfter)
 	}
 }
 
@@ -447,6 +549,17 @@ func TestSourceHealthQuarantineAndBackoff(t *testing.T) {
 	h.failure(now, nil)
 	if w := h.quarantinedFor(now); w != 0 {
 		t.Fatal("success did not reset the failure streak")
+	}
+	h.failure(now, nil)
+	later := now.Add(backoffMax + time.Second)
+	h.failure(later, nil)
+	if w := h.quarantinedFor(later); w != 0 {
+		t.Fatal("a failure after a quiet spell of backoffMax did not start a new streak")
+	}
+	h.failure(later, nil)
+	h.failure(later, nil)
+	if w := h.quarantinedFor(later); w <= 0 {
+		t.Fatal("the new streak did not quarantine at its threshold")
 	}
 
 	h.poisonWith(errors.New("first"))

@@ -8,11 +8,10 @@ import (
 	"repro/internal/pipeline"
 )
 
-// benchBatch builds the codec benchmarks' frames: a 16-request
-// WireBatch — the dispatcher's default batch size — over every device,
-// both modes and several frame sizes, and the WireBatchResult a node
-// answers it with.
-func benchBatch(b *testing.B) (WireBatch, WireBatchResult) {
+// benchRequests builds a 16-request batch — the dispatcher's default
+// batch size — of 30-trial measure requests over every device, both
+// modes and several frame sizes.
+func benchRequests(b *testing.B) []Request {
 	b.Helper()
 	var reqs []Request
 	for i := 0; len(reqs) < 16; i++ {
@@ -32,6 +31,14 @@ func benchBatch(b *testing.B) (WireBatch, WireBatchResult) {
 		}
 		reqs = append(reqs, req)
 	}
+	return reqs
+}
+
+// benchBatch builds the codec benchmarks' frames: benchRequests as a
+// WireBatch, and the WireBatchResult a node answers it with.
+func benchBatch(b *testing.B) (WireBatch, WireBatchResult) {
+	b.Helper()
+	reqs := benchRequests(b)
 	batch := WireBatch{ID: 7, Reqs: reqs}
 	return batch, WireBatchResult{ID: 7, Items: NewExecutor(nil).DoBatch(context.Background(), reqs)}
 }

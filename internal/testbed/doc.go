@@ -11,11 +11,15 @@
 // devices.
 //
 // The physics itself is immutable after construction; only the monitor
-// noise stream carries state. Bench.MeasureFrame/MeasureFrames draw from
-// the bench's shared serial RNG and therefore depend on measurement
-// order, while Bench.MeasureFramesSeeded draws from a caller-supplied
-// seed and is the concurrency-safe, order-independent form every
-// experiment and sweep uses.
+// noise stream carries state. A measurement therefore evaluates the
+// physics once per cell and draws only the monitor noise per trial —
+// unless the scenario carries a process-local path-loss model, which may
+// draw from its own stream on every call and is re-evaluated per trial.
+// Bench.MeasureFrame/MeasureFrames draw from the bench's shared serial
+// RNG and therefore depend on measurement order, while
+// Bench.MeasureFramesSeeded draws from a caller-supplied seed and is the
+// concurrency-safe, order-independent form every experiment and sweep
+// uses.
 //
 // Request is the serializable unit of that seeded form: scenario, trial
 // count, noise level, and seed (or, for analyze requests, a FitConfig

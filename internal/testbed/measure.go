@@ -59,30 +59,11 @@ type Measurement struct {
 }
 
 // MeasureFrame runs one frame of the scenario on the hidden physics and
-// returns the noisy observation. It draws from the bench's shared monitor
-// stream and is therefore not safe for concurrent use; parallel sweeps
-// use MeasureFramesSeeded instead.
+// returns the noisy observation: the one-trial case of MeasureFrames. It
+// draws from the bench's shared monitor stream and is therefore not safe
+// for concurrent use; parallel sweeps use MeasureFramesSeeded instead.
 func (b *Bench) MeasureFrame(sc *pipeline.Scenario) (Measurement, error) {
-	return b.measureFrame(sc, b.rng, b.NoiseRel)
-}
-
-// measureFrame samples the hidden physics once, jittered by rng with the
-// given relative noise.
-func (b *Bench) measureFrame(sc *pipeline.Scenario, rng *stats.RNG, noiseRel float64) (Measurement, error) {
-	if sc == nil {
-		return Measurement{}, errors.New("testbed: nil scenario")
-	}
-	em := b.Physics.TrueEnergyModels(sc.Device.Name)
-	eb, lb, err := em.FrameEnergy(sc)
-	if err != nil {
-		return Measurement{}, fmt.Errorf("true physics: %w", err)
-	}
-	return Measurement{
-		LatencyMs: rng.Jitter(lb.Total, noiseRel),
-		EnergyMJ:  rng.Jitter(eb.Total, noiseRel),
-		Latency:   lb,
-		Energy:    eb,
-	}, nil
+	return b.measureFramesNoise(sc, 1, b.rng, b.NoiseRel)
 }
 
 // MeasureFrames averages n frame measurements, mimicking the repeated
@@ -104,23 +85,42 @@ func (b *Bench) MeasureFramesSeeded(sc *pipeline.Scenario, n int, seed int64) (M
 }
 
 // measureFramesNoise averages n measurements jittered by rng at the given
-// relative noise level.
+// relative noise level. The hidden physics is a pure function of the
+// scenario, so it is evaluated once and only the monitor noise is drawn
+// per trial — latency then energy, n times, the same draws and sums a
+// per-trial evaluation makes. The one exception is a scenario carrying a
+// process-local path-loss model: such a model may draw from its own
+// stream on every call (LogDistance shadowing), so it is re-evaluated
+// each trial.
 func (b *Bench) measureFramesNoise(sc *pipeline.Scenario, n int, rng *stats.RNG, noiseRel float64) (Measurement, error) {
 	if n <= 0 {
 		return Measurement{}, fmt.Errorf("testbed: trial count %d", n)
 	}
+	if sc == nil {
+		return Measurement{}, errors.New("testbed: nil scenario")
+	}
+	perTrial := hasPathLoss(sc)
+	em := b.Physics.TrueEnergyModels(sc.Device.Name)
 	var acc Measurement
 	for i := 0; i < n; i++ {
-		m, err := b.measureFrame(sc, rng, noiseRel)
-		if err != nil {
-			return Measurement{}, err
+		if i == 0 || perTrial {
+			eb, lb, err := em.FrameEnergy(sc)
+			if err != nil {
+				return Measurement{}, fmt.Errorf("true physics: %w", err)
+			}
+			acc.Latency, acc.Energy = lb, eb
 		}
-		acc.LatencyMs += m.LatencyMs
-		acc.EnergyMJ += m.EnergyMJ
-		acc.Latency = m.Latency
-		acc.Energy = m.Energy
+		acc.LatencyMs += rng.Jitter(acc.Latency.Total, noiseRel)
+		acc.EnergyMJ += rng.Jitter(acc.Energy.Total, noiseRel)
 	}
 	acc.LatencyMs /= float64(n)
 	acc.EnergyMJ /= float64(n)
 	return acc, nil
+}
+
+// hasPathLoss reports whether the scenario carries a process-local
+// path-loss model on either wireless link — the models WireSafe keeps
+// off the wire and the physics must re-evaluate per trial.
+func hasPathLoss(sc *pipeline.Scenario) bool {
+	return sc.EdgeLink.Loss != nil || (sc.Coop != nil && sc.Coop.Link.Loss != nil)
 }
