@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/pipeline"
 	"repro/internal/sweep"
+	"repro/internal/testbed"
 )
 
 // suite is shared across tests: construction fits four regressions, which
@@ -448,5 +452,53 @@ func TestWriteReport(t *testing.T) {
 	// Both headline orderings must hold in the generated verdict.
 	if strings.Contains(out, "| NO |") {
 		t.Fatalf("verdict failed:\n%s", out[strings.Index(out, "## Verdict"):])
+	}
+}
+
+// TestRequestsMatchSerial pins the parallel seed derivation to the
+// serial one: the same requests in the same order at any GOMAXPROCS,
+// and the error of the lowest failing cell.
+func TestRequestsMatchSerial(t *testing.T) {
+	s := &Suite{Bench: testbed.NewBench(3), Trials: 5, Seed: 11}
+	dev, err := device.ByName(SweepDevice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs := make([]*pipeline.Scenario, 300)
+	for i := range scs {
+		if scs[i], err = pipeline.NewScenario(dev, pipeline.WithFrameSize(300+float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]testbed.Request, len(scs))
+	for i, sc := range scs {
+		if want[i], err = s.request(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, err := s.requests(scs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i].Seed != want[i].Seed || got[i].Scenario != want[i].Scenario {
+				t.Fatalf("GOMAXPROCS %d: request %d differs from the serial derivation", procs, i)
+			}
+		}
+	}
+	bad := append([]*pipeline.Scenario(nil), scs...)
+	for i, v := range map[int]float64{150: math.NaN(), 290: math.Inf(1)} {
+		sc := *scs[i]
+		sc.ResultSizeMB = v
+		bad[i] = &sc
+	}
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		if _, err := s.requests(bad); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Fatalf("GOMAXPROCS %d: error %v, want the lowest failing cell's (NaN)", procs, err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/device"
@@ -123,17 +124,57 @@ func (s *Suite) request(sc *pipeline.Scenario) (testbed.Request, error) {
 	return req, nil
 }
 
+// seedChunk is the fewest cells one goroutine derives seeds for. A
+// seed costs microseconds, so a smaller chunk would spend more on the
+// goroutine than it saves; jobs under two chunks derive every seed on
+// the caller's goroutine.
+const seedChunk = 64
+
+// requests builds the seeded requests for the scenarios, deriving the
+// content seeds in contiguous chunks across up to GOMAXPROCS
+// goroutines. Each index is written by exactly one goroutine, and the
+// error returned is the one of the lowest failing index, as a serial
+// loop would report.
+func (s *Suite) requests(scs []*pipeline.Scenario) ([]testbed.Request, error) {
+	reqs := make([]testbed.Request, len(scs))
+	chunks := max(1, min(runtime.GOMAXPROCS(0), len(scs)/seedChunk))
+	per := (len(scs) + chunks - 1) / chunks
+	errs := make([]error, chunks)
+	derive := func(c int) {
+		for i := c * per; i < min((c+1)*per, len(scs)); i++ {
+			req, err := s.request(scs[i])
+			if err != nil {
+				errs[c] = err
+				return
+			}
+			reqs[i] = req
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 1; c < chunks; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			derive(c)
+		}(c)
+	}
+	derive(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return reqs, nil
+}
+
 // streamMeasurements runs seeded ground-truth measurements for the
 // scenarios on the suite's backend, invoking emit on the caller's
 // goroutine in input order as each prefix completes.
 func (s *Suite) streamMeasurements(ctx context.Context, scs []*pipeline.Scenario, emit func(i int, m testbed.Measurement) error) error {
-	reqs := make([]testbed.Request, len(scs))
-	for i, sc := range scs {
-		req, err := s.request(sc)
-		if err != nil {
-			return err
-		}
-		reqs[i] = req
+	reqs, err := s.requests(scs)
+	if err != nil {
+		return err
 	}
 	return s.runner().Stream(ctx, reqs, emit)
 }

@@ -336,14 +336,22 @@ func WithRequiredUpdateHz(hz float64) Option {
 	return func(s *Scenario) { s.RequiredUpdateHz = hz }
 }
 
-// WithHandoff attaches a mobility handoff model.
+// WithHandoff attaches a mobility handoff model. Each scenario built
+// with the option gets its own copy.
 func WithHandoff(h mobility.HandoffModel) Option {
-	return func(s *Scenario) { s.Handoff = &h }
+	return func(s *Scenario) {
+		h := h
+		s.Handoff = &h
+	}
 }
 
-// WithCooperation attaches an XR-cooperation segment.
+// WithCooperation attaches an XR-cooperation segment. Each scenario
+// built with the option gets its own copy.
 func WithCooperation(c CoopConfig) Option {
-	return func(s *Scenario) { s.Coop = &c }
+	return func(s *Scenario) {
+		c := c
+		s.Coop = &c
+	}
 }
 
 // WithEdges replaces the edge assignment list.

@@ -243,3 +243,34 @@ func TestWithEdgesCopies(t *testing.T) {
 		t.Fatal("WithEdges must copy the slice")
 	}
 }
+
+// TestPointerOptionsCopyPerScenario pins that scenarios built from one
+// WithCooperation or WithHandoff option value own separate copies, so
+// mutating one scenario never reaches another.
+func TestPointerOptionsCopyPerScenario(t *testing.T) {
+	h, err := mobility.NewHandoffModel(mobility.HandoffVertical, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coopLink, err := wireless.NewLink(wireless.WiFi5GHz, 100, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []Option{WithHandoff(h), WithCooperation(CoopConfig{Link: coopLink, DataSizeMB: 0.2})}
+	a, err := NewScenario(testDevice(t), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewScenario(testDevice(t), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Coop.Link.Loss = wireless.FreeSpace{}
+	b.Handoff.Probability = 0.9
+	if a.Coop.Link.Loss != nil {
+		t.Fatal("setting Coop.Link.Loss on one scenario changed another built from the same option")
+	}
+	if a.Handoff.Probability != 0.1 {
+		t.Fatal("setting Handoff.Probability on one scenario changed another built from the same option")
+	}
+}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/device"
@@ -55,4 +56,65 @@ func BenchmarkCachedRunnerClassify(b *testing.B) {
 			c.classify(reqs)
 		}
 	})
+}
+
+// benchDiskCells measures the benchGrid cells once and fingerprints
+// them, for the disk cache benchmarks.
+func benchDiskCells(b *testing.B) ([]testbed.Request, []string, []testbed.Measurement) {
+	b.Helper()
+	reqs := benchGrid(b)
+	fps := make([]string, len(reqs))
+	for i, r := range reqs {
+		fp, err := r.Fingerprint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		fps[i] = fp
+	}
+	ms, err := (&PoolRunner{}).Run(context.Background(), reqs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return reqs, fps, ms
+}
+
+// BenchmarkDiskCachePut times one persisted entry per op (encode, temp
+// file, rename) in a temporary directory, cycling over the grid's cells.
+func BenchmarkDiskCachePut(b *testing.B) {
+	reqs, fps, ms := benchDiskCells(b)
+	d, err := OpenDiskCache(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(reqs)
+		if err := d.Put(fps[k], reqs[k].Seed, ms[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDiskCacheGet times one disk hit per op (read, decode, key
+// check) in a temporary directory holding every grid cell.
+func BenchmarkDiskCacheGet(b *testing.B) {
+	reqs, fps, ms := benchDiskCells(b)
+	d, err := OpenDiskCache(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := range reqs {
+		if err := d.Put(fps[k], reqs[k].Seed, ms[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(reqs)
+		if _, ok := d.Get(fps[k], reqs[k].Seed); !ok {
+			b.Fatalf("cell %d missed", k)
+		}
+	}
 }

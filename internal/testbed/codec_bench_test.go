@@ -11,7 +11,7 @@ import (
 // benchRequests builds a 16-request batch — the dispatcher's default
 // batch size — of 30-trial measure requests over every device, both
 // modes and several frame sizes.
-func benchRequests(b *testing.B) []Request {
+func benchRequests(b testing.TB) []Request {
 	b.Helper()
 	var reqs []Request
 	for i := 0; len(reqs) < 16; i++ {
@@ -88,5 +88,41 @@ func BenchmarkDecodeBinary(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// seedSink keeps benchmarked seeds alive.
+var seedSink int64
+
+// BenchmarkContentSeed times one content seed per op over the
+// benchRequests cells: the fingerprint spelled and hashed.
+func BenchmarkContentSeed(b *testing.B) {
+	reqs := benchRequests(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := reqs[i%len(reqs)].ContentSeed(42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		seedSink = s
+	}
+}
+
+// fpSink keeps benchmarked fingerprints alive.
+var fpSink string
+
+// BenchmarkFingerprint times one fingerprint string per op over the
+// benchRequests cells, the disk cache's key.
+func BenchmarkFingerprint(b *testing.B) {
+	reqs := benchRequests(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fp, err := reqs[i%len(reqs)].Fingerprint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		fpSink = fp
 	}
 }

@@ -67,9 +67,14 @@ type codecPlan struct {
 	minLen int
 }
 
+// planField is one exported struct field: its index and its plan, and
+// for the fingerprint appender its offset and JSON spelling (jsonField).
 type planField struct {
-	index int
-	plan  *codecPlan
+	index     int
+	plan      *codecPlan
+	offset    uintptr
+	key       []byte
+	omitEmpty bool
 }
 
 // plans caches a codecPlan per reflect.Type. planMu serializes
@@ -118,7 +123,8 @@ func buildPlan(t reflect.Type, building map[reflect.Type]*codecPlan) *codecPlan 
 				continue
 			}
 			fp := buildPlan(f.Type, building)
-			p.fields = append(p.fields, planField{index: i, plan: fp})
+			key, omitEmpty := jsonField(f)
+			p.fields = append(p.fields, planField{index: i, plan: fp, offset: f.Offset, key: key, omitEmpty: omitEmpty})
 			p.minLen += fp.minLen
 		}
 	}
@@ -137,25 +143,34 @@ func EncodeBinary(v any) ([]byte, error) {
 	}
 	scratch := encodeBufs.Get().(*[]byte)
 	buf, err := binEncoder{}.append((*scratch)[:0], planFor(rv.Type()), rv)
-	if err != nil {
-		encodeBufs.Put(scratch)
-		return nil, err
+	var out []byte
+	if err == nil {
+		out = append([]byte(nil), buf...)
 	}
-	out := append([]byte(nil), buf...)
-	if cap(buf) <= maxPooledEncode {
-		*scratch = buf
-		encodeBufs.Put(scratch)
-	}
-	return out, nil
+	releaseEncodeBuf(scratch, buf)
+	return out, err
 }
 
-// encodeBufs recycles EncodeBinary's scratch buffers, so an encoding
-// grows in a warm buffer and is copied out once at its exact length.
-// Buffers grown past maxPooledEncode by a rare large frame are left to
-// the collector rather than pinned in the pool.
+// encodeBufs recycles the scratch buffers of EncodeBinary and of the
+// request fingerprint, so an encoding grows in a warm buffer and is
+// copied out (or hashed) once at its exact length.
 var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledEncode = 64 << 10
+
+// releaseEncodeBuf returns scratch to encodeBufs, keeping buf, the
+// grown buffer taken from it. A buffer grown past maxPooledEncode by a
+// rare large value is left to the collector rather than pinned in the
+// pool.
+func releaseEncodeBuf(scratch *[]byte, buf []byte) {
+	if cap(buf) > maxPooledEncode {
+		return
+	}
+	if cap(buf) > cap(*scratch) {
+		*scratch = buf
+	}
+	encodeBufs.Put(scratch)
+}
 
 // DecodeBinary decodes a compact binary payload into v, which must be a
 // non-nil pointer. Trailing garbage after a complete value is rejected.

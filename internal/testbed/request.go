@@ -2,12 +2,11 @@ package testbed
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"reflect"
 	"sync"
+	"unsafe"
 
 	"repro/internal/energy"
 	"repro/internal/latency"
@@ -82,9 +81,12 @@ func (r Request) op() RequestOp {
 
 // Fingerprint returns the request's canonical content key: the JSON
 // encoding of every field except Seed (struct-order keys, shortest
-// round-trip floats, no maps — so the bytes are deterministic). Two
-// requests with equal fingerprints describe the same work on the same
-// inputs; the persistent cache keys on (Fingerprint, Seed), and the
+// round-trip floats, no maps — so the bytes are deterministic). The
+// bytes are exactly encoding/json's, but a walker over the request's
+// cached codec plan spells them (appendJSON), and the differential
+// fuzz target FuzzFingerprintJSON holds the two to the same bytes.
+// Two requests with equal fingerprints describe the same work on the
+// same inputs; the persistent cache keys on (Fingerprint, Seed), and the
 // in-memory cache on AppendKey, its binary twin. Requests that
 // are not wire-safe have no fingerprint: a process-local path-loss
 // model's behaviour is not captured by its JSON encoding, so two
@@ -92,20 +94,22 @@ func (r Request) op() RequestOp {
 // serve the wrong measurement. Such requests execute uncached, on
 // in-process backends only.
 func (r Request) Fingerprint() (string, error) {
-	b, err := r.fingerprint()
-	return string(b), err
+	scratch := encodeBufs.Get().(*[]byte)
+	b, err := r.appendFingerprint((*scratch)[:0])
+	fp := string(b)
+	releaseEncodeBuf(scratch, b)
+	return fp, err
 }
 
-// fingerprint returns the fingerprint's bytes, for callers that only
-// hash them.
-func (r Request) fingerprint() ([]byte, error) {
+// appendFingerprint appends the fingerprint's bytes to dst.
+func (r Request) appendFingerprint(dst []byte) ([]byte, error) {
 	if err := r.WireSafe(); err != nil {
 		return nil, err
 	}
 	c := r
 	c.Op = r.op()
 	c.Seed = 0
-	b, err := json.Marshal(c)
+	b, err := appendJSON(dst, planFor(requestType), unsafe.Pointer(&c))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRequest, err)
 	}
@@ -115,7 +119,8 @@ func (r Request) fingerprint() ([]byte, error) {
 // AppendKey appends the request's memory-cache key to dst: the compact
 // binary encoding of every field, Seed included, with Op normalised so
 // "" and OpMeasure share a key. It is the binary twin of
-// (Fingerprint, Seed) at a fraction of the cost. It fails exactly where
+// (Fingerprint, Seed), walking the same codec plan without formatting
+// a float or quoting a string. It fails exactly where
 // Fingerprint does — requests that are not wire-safe, and non-finite
 // floats, which JSON cannot encode — and equal keys imply equal
 // (Fingerprint, Seed). The converse holds for every value JSON spells
@@ -142,15 +147,21 @@ func (r Request) AppendKey(dst []byte) ([]byte, error) {
 // on nothing but (base, content), so the same grid cell requested by two
 // different experiments — or two different backends — draws the same
 // noise stream and yields the same observation, making cross-experiment
-// memoization sound.
+// memoization sound. The fingerprint is spelled into a pooled buffer and
+// hashed in place, so a seed costs no allocation.
 func (r Request) ContentSeed(base int64) (int64, error) {
-	fp, err := r.fingerprint()
+	scratch := encodeBufs.Get().(*[]byte)
+	fp, err := r.appendFingerprint((*scratch)[:0])
+	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for _, c := range fp {
+		h ^= uint64(c)
+		h *= 1099511628211 // FNV-1a 64-bit prime
+	}
+	releaseEncodeBuf(scratch, fp)
 	if err != nil {
 		return 0, err
 	}
-	h := fnv.New64a()
-	h.Write(fp)
-	z := uint64(base) ^ h.Sum64()
+	z := uint64(base) ^ h
 	z += 0x9e3779b97f4a7c15
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
