@@ -68,11 +68,10 @@ type codecPlan struct {
 }
 
 // planField is one exported struct field: its index and its plan, and
-// for the fingerprint appender its offset and JSON spelling (jsonField).
+// for the fingerprint appender its JSON spelling (jsonField).
 type planField struct {
 	index     int
 	plan      *codecPlan
-	offset    uintptr
 	key       []byte
 	omitEmpty bool
 }
@@ -124,7 +123,7 @@ func buildPlan(t reflect.Type, building map[reflect.Type]*codecPlan) *codecPlan 
 			}
 			fp := buildPlan(f.Type, building)
 			key, omitEmpty := jsonField(f)
-			p.fields = append(p.fields, planField{index: i, plan: fp, offset: f.Offset, key: key, omitEmpty: omitEmpty})
+			p.fields = append(p.fields, planField{index: i, plan: fp, key: key, omitEmpty: omitEmpty})
 			p.minLen += fp.minLen
 		}
 	}

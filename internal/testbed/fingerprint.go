@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
-	"unsafe"
 )
 
 // The canonical JSON spelling behind Request.Fingerprint and
@@ -38,51 +37,44 @@ func jsonField(f reflect.StructField) (key []byte, omitEmpty bool) {
 	return key, opts == "omitempty"
 }
 
-// appendJSON appends the encoding/json spelling of the value of plan p
-// at v. It reads the value through its plan's kinds and field offsets
-// rather than through reflect.Value, whose per-field bookkeeping cost
-// more than the spelling itself; the plan comes from the value's own
-// reflect.Type, so every load matches the memory it reads.
-func appendJSON(buf []byte, p *codecPlan, v unsafe.Pointer) ([]byte, error) {
+// appendJSON appends the encoding/json spelling of rv, whose plan is p.
+func appendJSON(buf []byte, p *codecPlan, rv reflect.Value) ([]byte, error) {
 	switch p.kind {
 	case reflect.Bool:
-		return strconv.AppendBool(buf, *(*bool)(v)), nil
+		return strconv.AppendBool(buf, rv.Bool()), nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return strconv.AppendInt(buf, loadInt(p.kind, v), 10), nil
+		return strconv.AppendInt(buf, rv.Int(), 10), nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return strconv.AppendUint(buf, loadUint(p.kind, v), 10), nil
+		return strconv.AppendUint(buf, rv.Uint(), 10), nil
 	case reflect.Float64:
-		return appendJSONFloat(buf, *(*float64)(v))
+		return appendJSONFloat(buf, rv.Float())
 	case reflect.String:
-		return appendJSONString(buf, *(*string)(v)), nil
+		return appendJSONString(buf, rv.String()), nil
 	case reflect.Slice:
-		s := (*sliceHeader)(v)
-		if s.data == nil {
+		if rv.IsNil() {
 			return append(buf, "null"...), nil
 		}
 		if p.bytes {
 			break
 		}
 		buf = append(buf, '[')
-		size := p.elem.typ.Size()
 		var err error
-		for i := 0; i < s.len; i++ {
+		for i := 0; i < rv.Len(); i++ {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			if buf, err = appendJSON(buf, p.elem, unsafe.Add(s.data, uintptr(i)*size)); err != nil {
+			if buf, err = appendJSON(buf, p.elem, rv.Index(i)); err != nil {
 				return nil, err
 			}
 		}
 		return append(buf, ']'), nil
 	case reflect.Pointer:
-		e := *(*unsafe.Pointer)(v)
-		if e == nil {
+		if rv.IsNil() {
 			return append(buf, "null"...), nil
 		}
-		return appendJSON(buf, p.elem, e)
+		return appendJSON(buf, p.elem, rv.Elem())
 	case reflect.Interface:
-		if *(*unsafe.Pointer)(v) == nil { // an interface is nil when its type word is
+		if rv.IsNil() {
 			return append(buf, "null"...), nil
 		}
 	case reflect.Struct:
@@ -90,8 +82,8 @@ func appendJSON(buf []byte, p *codecPlan, v unsafe.Pointer) ([]byte, error) {
 		first := true
 		var err error
 		for _, f := range p.fields {
-			fv := unsafe.Add(v, f.offset)
-			if f.omitEmpty && jsonEmpty(f.plan.kind, fv) {
+			fv := rv.Field(f.index)
+			if f.omitEmpty && jsonEmpty(fv) {
 				continue
 			}
 			key := f.key
@@ -107,58 +99,22 @@ func appendJSON(buf []byte, p *codecPlan, v unsafe.Pointer) ([]byte, error) {
 	return nil, fmt.Errorf("json: unsupported value of type %s", p.typ)
 }
 
-// sliceHeader is a slice's runtime layout.
-type sliceHeader struct {
-	data     unsafe.Pointer
-	len, cap int
-}
-
-func loadInt(k reflect.Kind, v unsafe.Pointer) int64 {
-	switch k {
-	case reflect.Int8:
-		return int64(*(*int8)(v))
-	case reflect.Int16:
-		return int64(*(*int16)(v))
-	case reflect.Int32:
-		return int64(*(*int32)(v))
-	case reflect.Int64:
-		return *(*int64)(v)
-	}
-	return int64(*(*int)(v))
-}
-
-func loadUint(k reflect.Kind, v unsafe.Pointer) uint64 {
-	switch k {
-	case reflect.Uint8:
-		return uint64(*(*uint8)(v))
-	case reflect.Uint16:
-		return uint64(*(*uint16)(v))
-	case reflect.Uint32:
-		return uint64(*(*uint32)(v))
-	case reflect.Uint64:
-		return *(*uint64)(v)
-	}
-	return uint64(*(*uint)(v))
-}
-
-// jsonEmpty is encoding/json's omitempty test for a value of kind k at
-// v. Unlike reflect.Value.IsZero, -0 is empty and a struct never is.
-func jsonEmpty(k reflect.Kind, v unsafe.Pointer) bool {
-	switch k {
+// jsonEmpty is encoding/json's omitempty test. Unlike
+// reflect.Value.IsZero, -0 is empty and a struct never is.
+func jsonEmpty(rv reflect.Value) bool {
+	switch rv.Kind() {
 	case reflect.Bool:
-		return !*(*bool)(v)
+		return !rv.Bool()
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return loadInt(k, v) == 0
+		return rv.Int() == 0
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return loadUint(k, v) == 0
+		return rv.Uint() == 0
 	case reflect.Float64:
-		return *(*float64)(v) == 0
-	case reflect.String:
-		return len(*(*string)(v)) == 0
-	case reflect.Slice:
-		return (*sliceHeader)(v).len == 0
+		return rv.Float() == 0
+	case reflect.String, reflect.Slice:
+		return rv.Len() == 0
 	case reflect.Pointer, reflect.Interface:
-		return *(*unsafe.Pointer)(v) == nil
+		return rv.IsNil()
 	}
 	return false
 }
@@ -184,48 +140,7 @@ func appendJSONFloat(buf []byte, f float64) ([]byte, error) {
 		}
 		return buf, nil
 	}
-	if abs != 0 {
-		if b, ok := appendShortDecimal(buf, f); ok {
-			return b, nil
-		}
-	}
 	return strconv.AppendFloat(buf, f, 'f', -1, 64), nil
-}
-
-// decimalScales are the exact powers of ten appendShortDecimal tries.
-var decimalScales = [...]float64{1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
-
-// appendShortDecimal spells f in 'f' form when it has at most eight
-// decimals, without the general shortest-digit search. The first scale
-// 10^k at which d = round(f·10^k) divides back to exactly f gives the
-// shortest spelling d·10^-k: IEEE division is correctly rounded, so
-// d/10^k == f is the round-trip test itself, and |d| < 2^50 keeps f's
-// rounding interval narrower than 1/4 at every scale, so no other
-// k-decimal number round-trips and d is strconv's choice. ok is false
-// for floats with more decimals; the caller falls back to strconv.
-func appendShortDecimal(buf []byte, f float64) (_ []byte, ok bool) {
-	for k, scale := range decimalScales {
-		d := math.Round(f * scale)
-		if math.Abs(d) >= 1<<50 {
-			return buf, false
-		}
-		if d/scale != f {
-			continue
-		}
-		n := int64(d)
-		if n < 0 {
-			buf = append(buf, '-')
-			n = -n
-		}
-		unit := int64(scale)
-		buf = append(strconv.AppendInt(buf, n/unit, 10), '.')
-		frac := n%unit + unit // a leading 1 keeps the fraction's zeros
-		start := len(buf)
-		buf = strconv.AppendInt(buf, frac, 10)
-		copy(buf[start:], buf[start+1:])
-		return buf[:start+k+1], true
-	}
-	return buf, false
 }
 
 // htmlSafe marks the ASCII bytes encoding/json writes unescaped in a
@@ -240,7 +155,10 @@ var htmlSafe = func() (safe [utf8.RuneSelf]bool) {
 // appendJSONString appends s quoted as encoding/json quotes it: short
 // escapes for " \ \b \f \n \r \t, \u00XX for other control bytes and
 // for < > &, U+2028 and U+2029 escaped, and each invalid UTF-8 byte
-// written as \ufffd.
+// written as \ufffd. The short \b and \f are Go 1.22's spelling; Go 1.21
+// wrote \u0008 and \u000c, so on a 1.21 toolchain a string holding
+// either byte gets a different fingerprint from json.Marshal's, and
+// FuzzFingerprintJSON's seed corpus reports it.
 func appendJSONString(buf []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	buf = append(buf, '"')

@@ -253,8 +253,7 @@ func TestFingerprintFloatSpellings(t *testing.T) {
 			t.Errorf("%g: appendJSONFloat = %s, %v; json.Marshal = %s", f, got, err, want)
 		}
 	}
-	// Short decimals at every scale the fast path tries, and beyond it,
-	// and arbitrary bit patterns.
+	// Decimals with up to eleven places, and arbitrary bit patterns.
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200000; i++ {
 		var f float64

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"unsafe"
 
 	"repro/internal/energy"
 	"repro/internal/latency"
@@ -109,7 +108,7 @@ func (r Request) appendFingerprint(dst []byte) ([]byte, error) {
 	c := r
 	c.Op = r.op()
 	c.Seed = 0
-	b, err := appendJSON(dst, planFor(requestType), unsafe.Pointer(&c))
+	b, err := appendJSON(dst, planFor(requestType), reflect.ValueOf(&c).Elem())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRequest, err)
 	}
