@@ -88,6 +88,25 @@ func NewWalk(speedMps, stepMs float64) (Walk, error) {
 // probability that a device starting uniformly at random inside the zone
 // exits it within horizon milliseconds. This plays the role of P(HO) in
 // Eq. (17); the paper derives it from the random-walk model of [49].
+//
+// A walk at distance d from the zone center with k steps of length s
+// left ends no farther out than d + k·s. So before the walk, and again
+// after every step, the trial is tested against
+//
+//	m = R − k·s − 1e-9·(k+1)·(R+s)
+//
+// and when m > 0 and d² < m² it cannot exit: its remaining steps are not
+// walked. The margin is over a million times the rounding the walk itself
+// can gather (a few 2⁻⁵³·(R+s) per step, from the step's components, the
+// position sums and the squared-radius tests), so a skipped trial is one
+// the full walk would not have counted either. A skipped trial still
+// calls rng.Float64 once per remaining step — Float64 re-draws when its
+// source yields 1.0, so counting raw source draws would not do — which
+// leaves the estimate and the rng's position afterwards bit-identical to
+// walking every step. A trial that exits stops drawing, as it always has.
+// Each angle's sine and cosine come from one math.Sincos, which runs the
+// same reduction and polynomials as separate Sin and Cos calls wherever
+// those are pure Go (every port but s390x).
 func (w Walk) HandoffProbability(zone Zone, horizonMs float64, trials int, rng *stats.RNG) (float64, error) {
 	if zone.RadiusM <= 0 {
 		return 0, fmt.Errorf("%w: radius %v m", ErrZone, zone.RadiusM)
@@ -109,17 +128,27 @@ func (w Walk) HandoffProbability(zone Zone, horizonMs float64, trials int, rng *
 	if steps == 0 {
 		steps = 1
 	}
+	radius := zone.RadiusM
+	reach := math.Abs(stepLen) // a negative speed walks backwards, as far
 	exits := 0
 	for t := 0; t < trials; t++ {
 		// Uniform start inside the disk by rejection-free sqrt sampling.
-		r := zone.RadiusM * math.Sqrt(rng.Float64())
-		theta := 2 * math.Pi * rng.Float64()
-		x, y := r*math.Cos(theta), r*math.Sin(theta)
+		r := radius * math.Sqrt(rng.Float64())
+		sin, cos := math.Sincos(2 * math.Pi * rng.Float64())
+		x, y := r*cos, r*sin
 		for s := 0; s < steps; s++ {
-			dir := 2 * math.Pi * rng.Float64()
-			x += stepLen * math.Cos(dir)
-			y += stepLen * math.Sin(dir)
-			if x*x+y*y > zone.RadiusM*zone.RadiusM {
+			k := float64(steps - s)
+			if m := radius - k*reach - 1e-9*(k+1)*(radius+reach); m > 0 && x*x+y*y < m*m {
+				// Cannot exit: draw what the rest of the walk would.
+				for ; s < steps; s++ {
+					rng.Float64()
+				}
+				break
+			}
+			sin, cos := math.Sincos(2 * math.Pi * rng.Float64())
+			x += stepLen * cos
+			y += stepLen * sin
+			if x*x+y*y > radius*radius {
 				exits++
 				break
 			}

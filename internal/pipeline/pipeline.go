@@ -212,6 +212,15 @@ func (s *Scenario) BufferClasses() int {
 	return 2
 }
 
+// HasPathLoss reports whether the scenario carries a path-loss model on
+// either wireless link. Such a model is process-local (it never crosses
+// the wire) and may draw from its own stream on every evaluation
+// (LogDistance shadowing), so a caller that evaluates a scenario once and
+// reuses the figures must evaluate it every time instead.
+func (s *Scenario) HasPathLoss() bool {
+	return s.EdgeLink.Loss != nil || (s.Coop != nil && s.Coop.Link.Loss != nil)
+}
+
 // Validate checks scenario consistency. It is called by every model entry
 // point so misconfiguration fails loudly rather than producing plausible
 // nonsense.

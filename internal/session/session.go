@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/energy"
+	"repro/internal/latency"
 	"repro/internal/mobility"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
@@ -248,6 +249,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	baseFreq := sc.CPUFreqGHz
 	throttled := false
 	pHO := 0.0
+	// The frame's figures depend on sc, which the loop changes only on
+	// a handoff refresh and a governor step, so they are evaluated on
+	// those frames and reused on the rest. A path-loss model may draw
+	// from its own stream on every evaluation, so a scenario carrying
+	// one is evaluated every frame.
+	everyFrame := sc.HasPathLoss()
+	stale := true
+	var eb energy.Breakdown
+	var lb latency.Breakdown
 
 	for q := 1; q <= cfg.Frames; q++ {
 		if err := ctx.Err(); err != nil {
@@ -266,11 +276,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("frame %d handoff model: %w", q, err)
 			}
 			sc.Handoff = &ho
+			stale = true
 		}
 
-		eb, lb, err := cfg.Models.FrameEnergy(&sc)
-		if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", q, err)
+		if stale || everyFrame {
+			var err error
+			if eb, lb, err = cfg.Models.FrameEnergy(&sc); err != nil {
+				return nil, fmt.Errorf("frame %d: %w", q, err)
+			}
+			stale = false
 		}
 
 		// Thermal integration and governor.
@@ -284,11 +298,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 					sc.CPUFreqGHz = t.MinGHz
 				}
 				throttled = true
+				stale = true
 			case temp <= t.ResumeAtC && sc.CPUFreqGHz < baseFreq:
 				sc.CPUFreqGHz += t.StepGHz
 				if sc.CPUFreqGHz > baseFreq {
 					sc.CPUFreqGHz = baseFreq
 				}
+				stale = true
 				if sc.CPUFreqGHz == baseFreq {
 					throttled = false
 				}

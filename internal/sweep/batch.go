@@ -705,8 +705,26 @@ func (d *batchDispatcher) drive(t batchTransport, first *batchJob) {
 	j := first
 	var rerr, sendFail error
 	recvSeen := false
+	// slot records a window slot held for the next send. The slot is
+	// taken before the work: a session with a full window that took a
+	// batch from the queue would hold it where no thief can see it, and
+	// a node that stopped answering would stall the sweep for good.
+	slot := false
 send:
 	for {
+		if !slot {
+			select {
+			case sem <- struct{}{}:
+				slot = true
+			case <-d.queueDone:
+				break send
+			case <-d.cctx.Done():
+				break send
+			case rerr = <-recvDone:
+				recvSeen = true
+				break send
+			}
+		}
 		for j == nil {
 			// Fast path: take queued work if immediately available.
 			select {
@@ -778,21 +796,12 @@ send:
 			j = nil
 			continue
 		}
-		select {
-		case sem <- struct{}{}:
-		case <-d.cctx.Done():
-			break send
-		case rerr = <-recvDone:
-			recvSeen = true
-			break send
-		}
 		if bb, ok := t.(batchBencher); ok && bb.benched() {
 			// The source was quarantined while this transport was checked
 			// out. Sending it more work would hand batches to a node that
 			// keeps killing connections, charging each an attempt; requeue
 			// the batch uncharged and wind the drive down once its window
 			// is answered.
-			<-sem
 			d.requeue(j)
 			j = nil
 			break send
@@ -806,7 +815,10 @@ send:
 		me.push(j, sentAt)
 		outstanding.Add(1)
 		tokens <- struct{}{}
-		j = nil
+		j, slot = nil, false
+	}
+	if slot {
+		<-sem
 	}
 	close(tokens)
 	if !recvSeen {

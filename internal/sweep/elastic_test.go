@@ -169,10 +169,11 @@ func TestNetRunnerSIGHUPDrainsLeaver(t *testing.T) {
 }
 
 // TestNetRunnerStealsFromSlowNode pins the work-stealing path under real
-// asymmetry: one node answers through a delaying proxy, the other at
-// loopback speed. The idle fast node must repark queued batches off the
-// slow one — observable through the steal counter — and the stolen work
-// must change nothing about the output.
+// asymmetry. In the stealing half the slow node measures but answers
+// nothing until cleanup, so the sweep can finish only if the idle fast
+// node steals every batch the slow one holds; the stolen work must
+// change nothing about the output. In the NoSteal half the slow node
+// answers through a delaying proxy and no batch may move.
 func TestNetRunnerStealsFromSlowNode(t *testing.T) {
 	base := testRequests(t, 4)
 	reqs := append(append([]testbed.Request{}, base...), base...) // 12 batches at Batch:1
@@ -180,36 +181,69 @@ func TestNetRunnerStealsFromSlowNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	run := func(noSteal bool) *NetRunner {
+	check := func(noSteal bool, got []testbed.Measurement) {
 		t.Helper()
-		slow := slowProxy(t, 30*time.Millisecond)
-		fast := startServeNode(t)
-		nr := &NetRunner{
-			Nodes:        []string{slow.Addr(), fast},
-			ConnsPerNode: 1,
-			Batch:        1,
-			Pipeline:     4,
-			StealAfter:   2 * time.Millisecond,
-			NoSteal:      noSteal,
-		}
-		t.Cleanup(func() { nr.Close() })
-		got, err := nr.Run(context.Background(), reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("noSteal=%v: point %d diverged from pool", noSteal, i)
 			}
 		}
-		return nr
 	}
 
-	if nr := run(false); nr.Steals() == 0 {
+	// The fast node is held too until the slow node has measured a
+	// batch: its window fills, the slow node is dealt work, and a sweep
+	// that finishes has therefore stolen. The deadline turns a missing
+	// steal into a failure instead of a hang.
+	slowMeter := &testbed.RateMeter{}
+	slowGate, fastGate := make(chan struct{}), make(chan struct{})
+	slow := startGatedNode(t, slowGate, testbed.ServeOptions{Meter: slowMeter})
+	t.Cleanup(func() { close(slowGate) })
+	nr := &NetRunner{
+		Nodes:        []string{slow, startGatedServeNode(t, fastGate)},
+		ConnsPerNode: 1,
+		Batch:        1,
+		Pipeline:     4,
+		StealAfter:   2 * time.Millisecond,
+	}
+	t.Cleanup(func() { nr.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for slowMeter.Rate() == 0 {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+			}
+		}
+		close(fastGate)
+	}()
+	got, err := nr.Run(ctx, reqs)
+	if err != nil {
+		t.Fatalf("a sweep whose slow node never answers must finish by stealing: %v", err)
+	}
+	check(false, got)
+	if nr.Steals() == 0 {
 		t.Fatal("idle fast node never stole from the slow node")
 	}
-	if nr := run(true); nr.Steals() != 0 {
+
+	noSteal := &NetRunner{
+		Nodes:        []string{slowProxy(t, 30*time.Millisecond).Addr(), startServeNode(t)},
+		ConnsPerNode: 1,
+		Batch:        1,
+		Pipeline:     4,
+		StealAfter:   2 * time.Millisecond,
+		NoSteal:      true,
+	}
+	t.Cleanup(func() { noSteal.Close() })
+	got, err = noSteal.Run(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(true, got)
+	if noSteal.Steals() != 0 {
 		t.Fatal("NoSteal runner stole anyway")
 	}
 }

@@ -60,7 +60,13 @@ func startNode(t *testing.T, opts testbed.ServeOptions) string {
 // drain the sweep first and the fault is never exercised.
 func startGatedServeNode(t *testing.T, gate <-chan struct{}) string {
 	t.Helper()
-	proxy, err := NewChaosProxy(startServeNode(t), ChaosConfig{Hold: gate})
+	return startGatedNode(t, gate, testbed.ServeOptions{})
+}
+
+// startGatedNode is startGatedServeNode for a node serving opts.
+func startGatedNode(t *testing.T, gate <-chan struct{}, opts testbed.ServeOptions) string {
+	t.Helper()
+	proxy, err := NewChaosProxy(startNode(t, opts), ChaosConfig{Hold: gate})
 	if err != nil {
 		t.Fatal(err)
 	}

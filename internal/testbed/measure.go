@@ -99,7 +99,7 @@ func (b *Bench) measureFramesNoise(sc *pipeline.Scenario, n int, rng *stats.RNG,
 	if sc == nil {
 		return Measurement{}, errors.New("testbed: nil scenario")
 	}
-	perTrial := hasPathLoss(sc)
+	perTrial := sc.HasPathLoss()
 	em := b.Physics.TrueEnergyModels(sc.Device.Name)
 	var acc Measurement
 	for i := 0; i < n; i++ {
@@ -116,11 +116,4 @@ func (b *Bench) measureFramesNoise(sc *pipeline.Scenario, n int, rng *stats.RNG,
 	acc.LatencyMs /= float64(n)
 	acc.EnergyMJ /= float64(n)
 	return acc, nil
-}
-
-// hasPathLoss reports whether the scenario carries a process-local
-// path-loss model on either wireless link — the models WireSafe keeps
-// off the wire and the physics must re-evaluate per trial.
-func hasPathLoss(sc *pipeline.Scenario) bool {
-	return sc.EdgeLink.Loss != nil || (sc.Coop != nil && sc.Coop.Link.Loss != nil)
 }
