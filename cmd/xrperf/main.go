@@ -156,7 +156,6 @@ func runWorker(out io.Writer) error {
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7600", "TCP address to accept dispatcher connections on")
-	jsonOnly := fs.Bool("json-only", false, "advertise only the JSON codec (exercise mixed-fleet negotiation)")
 	register := fs.String("register", "", "dial this coordinator (host:port) and register as a fleet member until shutdown")
 	advertise := fs.String("advertise", "", "address to register with the coordinator (default: the bound -listen address)")
 	if err := fs.Parse(args); err != nil {
@@ -178,7 +177,7 @@ func runServe(args []string) error {
 	// The registration handshake and the serve loop share one options
 	// value so the hello frame dialed to the coordinator carries the same
 	// capacity hints (cores, measured cells/s) dispatchers see.
-	opts := testbed.ServeOptions{JSONOnly: *jsonOnly, Meter: &testbed.RateMeter{}}
+	opts := testbed.ServeOptions{Meter: &testbed.RateMeter{}}
 	if *register != "" {
 		adv := *advertise
 		if adv == "" {
@@ -337,15 +336,15 @@ func printUsage(out io.Writer) {
 	fmt.Fprintln(out, "  report [-stream] [flags]     regenerate the full Markdown evaluation report;")
 	fmt.Fprintln(out, "                               -stream emits each section as soon as it completes")
 	fmt.Fprintln(out, "  worker                       serve measurement requests over stdin/stdout")
-	fmt.Fprintln(out, "                               (spawned by -backend proc; length-delimited JSON)")
-	fmt.Fprintln(out, "  serve [-listen ADDR] [-json-only] [-register ADDR [-advertise ADDR]]")
+	fmt.Fprintln(out, "                               (spawned by -backend proc; length-prefixed frames:")
+	fmt.Fprintln(out, "                               a JSON handshake, then binary batches)")
+	fmt.Fprintln(out, "  serve [-listen ADDR] [-register ADDR [-advertise ADDR]]")
 	fmt.Fprintln(out, "                               run a worker-fleet node: answer measurement")
 	fmt.Fprintln(out, "                               requests over TCP for -backend net dispatchers")
-	fmt.Fprintln(out, "                               (handshake carries protocol + physics versions,")
-	fmt.Fprintln(out, "                               capacity hints, and the codec advertisement;")
-	fmt.Fprintln(out, "                               -json-only opts the node out of the binary codec;")
-	fmt.Fprintln(out, "                               -register dials a -fleet-register coordinator and")
-	fmt.Fprintln(out, "                               joins its fleet until shutdown)")
+	fmt.Fprintln(out, "                               (handshake carries protocol + physics versions")
+	fmt.Fprintln(out, "                               and capacity hints; -register dials a")
+	fmt.Fprintln(out, "                               -fleet-register coordinator and joins its fleet")
+	fmt.Fprintln(out, "                               until shutdown)")
 	fmt.Fprintln(out, "  server [-listen ADDR] [-max-active N] [-queue N] [-job-timeout D]")
 	fmt.Fprintln(out, "         [backend flags]       run a long-lived job server: execute submitted")
 	fmt.Fprintln(out, "                               jobs on one shared measurement cache (overlapping")

@@ -416,12 +416,8 @@ func TestReportByteIdenticalNetWithNodeDeath(t *testing.T) {
 				if err := testbed.WriteFrame(conn, testbed.Hello()); err != nil {
 					return
 				}
-				var start testbed.WireStart
-				if err := testbed.ReadFrame(conn, &start); err != nil {
-					return
-				}
 				var b testbed.WireBatch
-				if err := testbed.ReadFrameCodec(conn, start.Codec, &b); err == nil {
+				if err := testbed.ReadBinaryFrame(conn, &b); err == nil {
 					dropped.Add(1)
 				}
 			}(conn)

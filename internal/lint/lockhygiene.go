@@ -309,10 +309,10 @@ var blockingIoFuncs = map[string]bool{
 // lock held). The pure in-memory codecs (EncodeBinary, DecodeBinary)
 // are deliberately absent.
 var testbedFrameFuncs = map[string]bool{
-	"WriteFrame": true, "ReadFrame": true, "WriteFrameCodec": true,
-	"ReadFrameCodec": true, "WriteRawFrame": true, "ReadRawFrame": true,
+	"WriteFrame": true, "ReadFrame": true, "WriteBinaryFrame": true,
+	"ReadBinaryFrame": true, "WriteRawFrame": true, "ReadRawFrame": true,
 	"ReadHello": true, "Serve": true, "ServeListener": true,
-	"ServeListenerOpts": true, "ServeConn": true, "ServeConnOpts": true,
+	"ServeListenerOpts": true,
 }
 
 // checkBlockingCall reports call if it is a known blocking operation and
@@ -369,7 +369,7 @@ func blockingCallee(fn *types.Func) string {
 			return pkgPath + " " + rname + "." + name
 		case pkgPath == "repro/internal/sweep" && rname == "DiskCache" && (name == "Get" || name == "Put"):
 			return "disk-cache " + rname + "." + name + " (file I/O)"
-		case pkgPath == "repro/internal/testbed" && strings.HasPrefix(name, "ServeFrames"):
+		case pkgPath == "repro/internal/testbed" && name == "ServeFrames":
 			return "testbed Executor." + name + " (serve loop)"
 		}
 		return ""

@@ -19,16 +19,15 @@ import (
 var ErrBusy = errors.New("server busy")
 
 // dial connects to a job server and performs the handshake, returning
-// the connection, a buffered reader positioned after the hello frame,
-// and the result-stream codec picked from the server's advertisement
-// (binary when the server speaks it). The context governs the dial and,
-// via AfterFunc, aborts the whole exchange when canceled; the caller
-// owns closing both conn and the returned stop func.
-func dial(ctx context.Context, addr string) (net.Conn, *bufio.Reader, string, func() bool, error) {
+// the connection and a buffered reader positioned after the hello
+// frame. The context governs the dial and, via AfterFunc, aborts the
+// whole exchange when canceled; the caller owns closing both conn and
+// the returned stop func.
+func dial(ctx context.Context, addr string) (net.Conn, *bufio.Reader, func() bool, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, nil, "", nil, fmt.Errorf("submit: %w", err)
+		return nil, nil, nil, fmt.Errorf("submit: %w", err)
 	}
 	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
 	br := bufio.NewReader(conn)
@@ -36,15 +35,15 @@ func dial(ctx context.Context, addr string) (net.Conn, *bufio.Reader, string, fu
 	if err != nil {
 		stop()
 		_ = conn.Close()
-		return nil, nil, "", nil, fmt.Errorf("submit: %s: %w", addr, err)
+		return nil, nil, nil, fmt.Errorf("submit: %s: %w", addr, err)
 	}
 	if h.Service != testbed.ServiceJobs {
 		stop()
 		_ = conn.Close()
-		return nil, nil, "", nil, fmt.Errorf("submit: %s is not a job server (it serves %q — an `xrperf serve` fleet node answers measurements, not jobs; dial an `xrperf server` instead)",
+		return nil, nil, nil, fmt.Errorf("submit: %s is not a job server (it serves %q — an `xrperf serve` fleet node answers measurements, not jobs; dial an `xrperf server` instead)",
 			addr, h.Service)
 	}
-	return conn, br, h.PickCodec(), stop, nil
+	return conn, br, stop, nil
 }
 
 // Submit sends one job to the server at addr and copies the streamed
@@ -55,7 +54,7 @@ func dial(ctx context.Context, addr string) (net.Conn, *bufio.Reader, string, fu
 // a busy rejection returns an error wrapping ErrBusy. Canceling ctx
 // closes the connection, which aborts the job server-side.
 func Submit(ctx context.Context, addr string, j job.Job, out io.Writer) error {
-	conn, br, codec, stop, err := dial(ctx, addr)
+	conn, br, stop, err := dial(ctx, addr)
 	if err != nil {
 		return err
 	}
@@ -65,12 +64,12 @@ func Submit(ctx context.Context, addr string, j job.Job, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("submit: encode job: %w", err)
 	}
-	if err := testbed.WriteFrame(conn, testbed.WireJob{Proto: testbed.JobProtocolVersion, Op: testbed.JobOpRun, Codec: codec, Job: payload}); err != nil {
+	if err := testbed.WriteFrame(conn, testbed.WireJob{Proto: testbed.JobProtocolVersion, Op: testbed.JobOpRun, Job: payload}); err != nil {
 		return fmt.Errorf("submit: %w", err)
 	}
 	for {
 		var r testbed.WireResult
-		if err := testbed.ReadFrameCodec(br, codec, &r); err != nil {
+		if err := testbed.ReadBinaryFrame(br, &r); err != nil {
 			if ctx.Err() != nil {
 				return fmt.Errorf("submit: %w", ctx.Err())
 			}
@@ -95,17 +94,17 @@ func Submit(ctx context.Context, addr string, j job.Job, out io.Writer) error {
 
 // QueryStats asks the server at addr for its introspection snapshot.
 func QueryStats(ctx context.Context, addr string) (Stats, error) {
-	conn, br, codec, stop, err := dial(ctx, addr)
+	conn, br, stop, err := dial(ctx, addr)
 	if err != nil {
 		return Stats{}, err
 	}
 	defer stop()
 	defer conn.Close()
-	if err := testbed.WriteFrame(conn, testbed.WireJob{Proto: testbed.JobProtocolVersion, Op: testbed.JobOpStats, Codec: codec}); err != nil {
+	if err := testbed.WriteFrame(conn, testbed.WireJob{Proto: testbed.JobProtocolVersion, Op: testbed.JobOpStats}); err != nil {
 		return Stats{}, fmt.Errorf("stats: %w", err)
 	}
 	var r testbed.WireResult
-	if err := testbed.ReadFrameCodec(br, codec, &r); err != nil {
+	if err := testbed.ReadBinaryFrame(br, &r); err != nil {
 		return Stats{}, fmt.Errorf("stats: %w", err)
 	}
 	switch r.Kind {

@@ -221,54 +221,44 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) error {
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	if err := wj.Check(); err != nil {
-		return writeErr(conn, testbed.CodecJSON, err)
-	}
-	// The client picks the result-stream codec from the hello's
-	// advertisement (WireJob.Codec); every WireResult frame after this
-	// point rides it. The rejection of an unknown codec is necessarily
-	// JSON — no codec was agreed.
-	codec := testbed.NormalizeCodec(wj.Codec)
-	if !testbed.KnownCodec(codec) {
-		return writeErr(conn, testbed.CodecJSON,
-			fmt.Errorf("%w: client requested codec %q, this server speaks %s, %s",
-				testbed.ErrVersionMismatch, wj.Codec, testbed.CodecJSON, testbed.CodecBinary))
+		return writeErr(conn, err)
 	}
 	switch wj.Op {
 	case testbed.JobOpStats:
-		return s.writeStats(conn, codec)
+		return s.writeStats(conn)
 	case "", testbed.JobOpRun:
-		return s.runJob(ctx, conn, codec, wj.Job)
+		return s.runJob(ctx, conn, wj.Job)
 	default:
-		return writeErr(conn, codec, fmt.Errorf("server: unknown op %q", wj.Op))
+		return writeErr(conn, fmt.Errorf("server: unknown op %q", wj.Op))
 	}
 }
 
 // writeErr reports a job-level failure to the client. The message is the
 // error's exact text — for an invalid job, the same text the one-shot
 // CLI prints for the same spec.
-func writeErr(conn net.Conn, codec string, err error) error {
-	return testbed.WriteFrameCodec(conn, codec, testbed.WireResult{Kind: testbed.ResultErr, Err: err.Error()})
+func writeErr(conn net.Conn, err error) error {
+	return testbed.WriteBinaryFrame(conn, testbed.WireResult{Kind: testbed.ResultErr, Err: err.Error()})
 }
 
 // writeStats answers a stats op with the current snapshot.
-func (s *Server) writeStats(conn net.Conn, codec string) error {
+func (s *Server) writeStats(conn net.Conn) error {
 	payload, err := json.Marshal(s.Stats())
 	if err != nil {
 		return err
 	}
-	return testbed.WriteFrameCodec(conn, codec, testbed.WireResult{Kind: testbed.ResultStats, Stats: payload})
+	return testbed.WriteBinaryFrame(conn, testbed.WireResult{Kind: testbed.ResultStats, Stats: payload})
 }
 
 // runJob admits, executes, and streams one job.
-func (s *Server) runJob(ctx context.Context, conn net.Conn, codec string, doc json.RawMessage) error {
+func (s *Server) runJob(ctx context.Context, conn net.Conn, doc json.RawMessage) error {
 	jb, err := job.Decode(doc)
 	if err != nil {
-		return writeErr(conn, codec, err)
+		return writeErr(conn, err)
 	}
 	// Validate before admission: a malformed job must not consume a
 	// queue slot, and must fail with the exact one-shot CLI error text.
 	if err := jb.Validate(); err != nil {
-		return writeErr(conn, codec, err)
+		return writeErr(conn, err)
 	}
 
 	s.mu.Lock()
@@ -288,7 +278,7 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, codec string, doc js
 		queued, active := len(s.admission)-len(s.active), len(s.active)
 		s.mu.Unlock()
 		s.logf("job %d rejected: queue full (%d queued, %d active)", id, queued, active)
-		return testbed.WriteFrameCodec(conn, codec, testbed.WireResult{
+		return testbed.WriteBinaryFrame(conn, testbed.WireResult{
 			Kind: testbed.ResultBusy,
 			Err:  fmt.Sprintf("job queue full (%d queued, %d active); retry later", queued, active),
 		})
@@ -333,7 +323,7 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, codec string, doc js
 	case <-jctx.Done():
 		s.finish(id, admittedAt, admittedAt, fmt.Errorf("job canceled while queued: %w", jctx.Err()))
 		release()
-		return writeErr(conn, codec, jctx.Err())
+		return writeErr(conn, jctx.Err())
 	}
 	running = true
 	if s.cfg.JobTimeout > 0 {
@@ -346,12 +336,12 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, codec string, doc js
 	if err != nil {
 		s.finish(id, admittedAt, admittedAt, err)
 		release()
-		return writeErr(conn, codec, err)
+		return writeErr(conn, err)
 	}
 	before := s.cfg.Runner.Stats()
 	startedAt := time.Now()
 	jb.Stream = true
-	runErr := jb.Run(jctx, suite, &frameWriter{conn: conn, codec: codec})
+	runErr := jb.Run(jctx, suite, &frameWriter{conn: conn})
 	s.finish(id, admittedAt, startedAt, runErr)
 	release()
 	delta := s.cfg.Runner.Stats()
@@ -359,9 +349,9 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, codec string, doc js
 		id, kindName(jb), time.Since(startedAt).Round(time.Millisecond),
 		delta.Misses-before.Misses, (delta.Hits+delta.DiskHits)-(before.Hits+before.DiskHits))
 	if runErr != nil {
-		return writeErr(conn, codec, runErr)
+		return writeErr(conn, runErr)
 	}
-	return testbed.WriteFrameCodec(conn, codec, testbed.WireResult{Kind: testbed.ResultDone})
+	return testbed.WriteBinaryFrame(conn, testbed.WireResult{Kind: testbed.ResultDone})
 }
 
 func kindName(j job.Job) string {
@@ -430,15 +420,14 @@ func (s *Server) Stats() Stats {
 // Write becomes one chunk frame, so the client reproduces the byte
 // stream exactly by concatenating chunks in arrival order.
 type frameWriter struct {
-	conn  net.Conn
-	codec string
+	conn net.Conn
 }
 
 func (w *frameWriter) Write(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	if err := testbed.WriteFrameCodec(w.conn, w.codec, testbed.WireResult{Kind: testbed.ResultChunk, Chunk: string(p)}); err != nil {
+	if err := testbed.WriteBinaryFrame(w.conn, testbed.WireResult{Kind: testbed.ResultChunk, Chunk: string(p)}); err != nil {
 		return 0, err
 	}
 	return len(p), nil

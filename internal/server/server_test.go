@@ -390,7 +390,8 @@ func TestServerStatsSelfCheck(t *testing.T) {
 
 // TestServerRejectsWrongJobProto pins job-protocol versioning: a client
 // announcing a different WireJob version is refused with a version
-// mismatch before any job runs.
+// mismatch — in a binary WireResult like every server frame — before
+// any job runs.
 func TestServerRejectsWrongJobProto(t *testing.T) {
 	addr, _, _ := startServer(t, Config{})
 	conn, err := net.Dial("tcp", addr)
@@ -405,7 +406,7 @@ func TestServerRejectsWrongJobProto(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r testbed.WireResult
-	if err := testbed.ReadFrame(conn, &r); err != nil {
+	if err := testbed.ReadBinaryFrame(conn, &r); err != nil {
 		t.Fatal(err)
 	}
 	if r.Kind != testbed.ResultErr || !strings.Contains(r.Err, "job protocol") {

@@ -103,7 +103,7 @@ type batchSource interface {
 }
 
 // batchTransport is one live worker session: a subprocess pipe pair or
-// a fleet TCP connection, post-handshake, speaking the negotiated codec.
+// a fleet TCP connection, post-handshake, speaking binary frames.
 type batchTransport interface {
 	// send writes one batch frame; errors are retryable worker failures.
 	send(b testbed.WireBatch) error
@@ -638,11 +638,6 @@ func (d *batchDispatcher) drive(t batchTransport, first *batchJob) {
 				return
 			}
 			j := e.j
-			if res.Err != "" {
-				me.unpop(e)
-				recvDone <- t.corrupt("rejected the stream: %s", sanitizeLine(res.Err))
-				return
-			}
 			if res.ID != j.id {
 				me.unpop(e)
 				recvDone <- t.corrupt("answered batch %d to batch %d", res.ID, j.id)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -20,13 +21,6 @@ import (
 func startServeNode(t *testing.T) string {
 	t.Helper()
 	return startNode(t, testbed.ServeOptions{})
-}
-
-// startJSONOnlyNode runs a worker-fleet node restricted to the JSON
-// codec — the mixed-fleet fixture.
-func startJSONOnlyNode(t *testing.T) string {
-	t.Helper()
-	return startNode(t, testbed.ServeOptions{JSONOnly: true})
 }
 
 // startNode serves opts on a loopback listener for the test's lifetime.
@@ -161,12 +155,8 @@ func TestNetRunnerRedispatchOnNodeDeath(t *testing.T) {
 			return
 		}
 		br := bufio.NewReader(conn)
-		var start testbed.WireStart
-		if err := testbed.ReadFrame(br, &start); err != nil {
-			return
-		}
 		var b testbed.WireBatch
-		if err := testbed.ReadFrameCodec(br, start.Codec, &b); err == nil {
+		if err := testbed.ReadBinaryFrame(br, &b); err == nil {
 			killed.Add(1)
 			opened.Do(func() { close(gate) })
 		}
@@ -213,19 +203,15 @@ func TestNetRunnerQuarantinesNodeDyingAfterAnswers(t *testing.T) {
 			return
 		}
 		br := bufio.NewReader(conn)
-		var start testbed.WireStart
-		if err := testbed.ReadFrame(br, &start); err != nil {
-			return
-		}
 		var b testbed.WireBatch
-		if err := testbed.ReadFrameCodec(br, start.Codec, &b); err != nil {
+		if err := testbed.ReadBinaryFrame(br, &b); err != nil {
 			return
 		}
 		res := testbed.WireBatchResult{ID: b.ID, Items: exec.DoBatch(context.Background(), b.Reqs)}
-		if err := testbed.WriteFrameCodec(conn, start.Codec, res); err != nil {
+		if err := testbed.WriteBinaryFrame(conn, res); err != nil {
 			return
 		}
-		if err := testbed.ReadFrameCodec(br, start.Codec, &b); err == nil {
+		if err := testbed.ReadBinaryFrame(br, &b); err == nil {
 			drops.Add(1)
 		}
 		// Drop the connection with the second batch unanswered.
@@ -326,72 +312,114 @@ func TestNetRunnerHandshakeMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestNetRunnerMixedCodecFleet pins the mixed-fleet guarantee: a fleet
-// where one node only speaks JSON while the others negotiate binary
-// produces measurements bit-identical to the in-process pool — the
-// codec is a per-connection transport detail, invisible in the output.
-func TestNetRunnerMixedCodecFleet(t *testing.T) {
-	reqs := testRequests(t, 4)
-	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
+// TestNetPickNodeCountsInFlightDials pins the checkout load count: a
+// node is busy from the moment pickNode chooses it, not once its dial
+// and handshake return, so a second concurrent checkout does not pile
+// onto a node whose first dial is still in flight. A failed checkout
+// gives its count back.
+func TestNetPickNodeCountsInFlightDials(t *testing.T) {
+	release := make(chan struct{})
+	accepted := make(chan string, 4)
+	node := func(name string, gate <-chan struct{}) func(net.Conn) {
+		return func(conn net.Conn) {
+			accepted <- name
+			if gate != nil {
+				<-gate
+			}
+			if err := testbed.WriteFrame(conn, testbed.Hello()); err != nil {
+				return
+			}
+			_, _ = io.Copy(io.Discard, conn) // idle until the dispatcher hangs up
+		}
 	}
-	nr := &NetRunner{
-		Nodes:        []string{startServeNode(t), startJSONOnlyNode(t), startServeNode(t)},
-		ConnsPerNode: 1,
-		Batch:        2,
-	}
+	a := startRawNode(t, node("A", release))
+	b := startRawNode(t, node("B", nil))
+	nr := &NetRunner{Nodes: []string{a, b}}
 	defer nr.Close()
-	got, err := nr.Run(context.Background(), reqs)
-	if err != nil {
-		t.Fatalf("mixed-codec fleet failed: %v", err)
+	if err := nr.init(); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mixed-codec point %d diverges from pool", i)
+	nr.nodesMu.Lock()
+	na, nb := nr.byAddr[a], nr.byAddr[b]
+	nr.nodesMu.Unlock()
+	// A is estimated 1.5x faster than B, so A wins a checkout while both
+	// are idle, and only A's counted in-flight dial sends the next to B.
+	na.observe(300, time.Second)
+	nb.observe(200, time.Second)
+
+	type checkout struct {
+		tr  batchTransport
+		err error
+	}
+	acquire := func() <-chan checkout {
+		ch := make(chan checkout, 1)
+		go func() {
+			tr, err := netSource{nr}.acquire(context.Background())
+			ch <- checkout{tr, err}
+		}()
+		return ch
+	}
+	dialed := func() string {
+		select {
+		case name := <-accepted:
+			return name
+		case <-time.After(10 * time.Second):
+			t.Fatal("no node was dialed")
+			return ""
 		}
 	}
-}
-
-// TestNetRunnerForcedCodecMismatch pins the forced-codec gate: a
-// dispatcher pinned to the binary codec treats a JSON-only node like a
-// version mismatch — poisoned alone, routed around in a mixed fleet.
-func TestNetRunnerForcedCodecMismatch(t *testing.T) {
-	reqs := testRequests(t, 2)
-	jsonOnly := startJSONOnlyNode(t)
-
-	alone := &NetRunner{Nodes: []string{jsonOnly}, Codec: testbed.CodecBinary}
-	defer alone.Close()
-	_, err := alone.Run(context.Background(), reqs)
-	if !errors.Is(err, testbed.ErrVersionMismatch) {
-		t.Fatalf("forced-codec fleet error = %v, want ErrVersionMismatch", err)
+	first := acquire()
+	if name := dialed(); name != "A" {
+		t.Fatalf("first checkout dialed %s, want the faster node A", name)
 	}
-	for _, want := range []string{jsonOnly, `does not speak codec "binary"`, "rejected"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("forced-codec error missing %q: %v", want, err)
+	// A's hello is held back, so its first dial is still in flight.
+	second := acquire()
+	name := dialed()
+	close(release)
+	if name != "B" {
+		t.Fatalf("second checkout dialed %s while A's first dial was in flight, want B", name)
+	}
+	for _, c := range []struct {
+		ch   <-chan checkout
+		want *netNode
+	}{{first, na}, {second, nb}} {
+		got := <-c.ch
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		tr := got.tr.(*netTransport)
+		if tr.c.node != c.want {
+			t.Fatalf("checkout landed on %s, want %s", tr.c.node.addr, c.want.addr)
+		}
+		if n := c.want.busy.Load(); n != 1 {
+			t.Fatalf("node %s busy = %d with one checkout, want 1", c.want.addr, n)
+		}
+		tr.abort()
+		if n := c.want.busy.Load(); n != 0 {
+			t.Fatalf("node %s busy = %d after its transport retired, want 0", c.want.addr, n)
 		}
 	}
 
-	mixed := &NetRunner{Nodes: []string{jsonOnly, startServeNode(t)}, Codec: testbed.CodecBinary}
-	defer mixed.Close()
-	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
+	// A checkout whose dial fails gives its count back.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mixed.Run(context.Background(), reqs)
-	if err != nil {
-		t.Fatalf("mixed fleet must route around the JSON-only node: %v", err)
+	dead := ln.Addr().String()
+	ln.Close() // connection refused from here on
+	down := &NetRunner{Nodes: []string{dead}, DialTimeout: time.Second}
+	defer down.Close()
+	if err := down.init(); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mixed-fleet point %d diverges", i)
-		}
+	if _, err := (netSource{down}).acquire(context.Background()); err == nil {
+		t.Fatal("checkout from a refused node succeeded")
 	}
-
-	bogus := &NetRunner{Nodes: []string{jsonOnly}, Codec: "protobuf"}
-	defer bogus.Close()
-	if _, err := bogus.Run(context.Background(), reqs); err == nil || !strings.Contains(err.Error(), `unknown frame codec "protobuf"`) {
-		t.Fatalf("unknown codec error = %v", err)
+	down.nodesMu.Lock()
+	nd := down.byAddr[dead]
+	down.nodesMu.Unlock()
+	if n := nd.busy.Load(); n != 0 {
+		t.Fatalf("failed checkout left busy = %d, want 0", n)
 	}
 }
 
@@ -407,16 +435,12 @@ func TestNetRunnerCancelMidShard(t *testing.T) {
 			return
 		}
 		br := bufio.NewReader(conn)
-		var start testbed.WireStart
-		if err := testbed.ReadFrame(br, &start); err != nil {
-			return
-		}
 		// Simulate a node stuck in a long measurement: accept batches,
 		// never answer, block until the dispatcher closes the connection.
 		got := false
 		for {
 			var b testbed.WireBatch
-			if err := testbed.ReadFrameCodec(br, start.Codec, &b); err != nil {
+			if err := testbed.ReadBinaryFrame(br, &b); err != nil {
 				break
 			}
 			got = true

@@ -114,9 +114,8 @@ func TestProcRunnerMatchesPool(t *testing.T) {
 }
 
 // TestProcRunnerBatchPipelineConfigs pins the tuning contract: any
-// batch size, pipeline depth, and frame codec produce the same
-// measurements bit for bit — the knobs change wire traffic, never
-// output.
+// batch size and pipeline depth produce the same measurements bit for
+// bit — the knobs change wire traffic, never output.
 func TestProcRunnerBatchPipelineConfigs(t *testing.T) {
 	reqs := testRequests(t, 2)
 	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
@@ -127,8 +126,8 @@ func TestProcRunnerBatchPipelineConfigs(t *testing.T) {
 		{Procs: 1, Batch: 1, Pipeline: 1},
 		{Procs: 2, Batch: 2, Pipeline: 3},
 		{Procs: 3, Batch: 64, Pipeline: 2},
-		{Procs: 2, Codec: testbed.CodecJSON},
-		{Procs: 2, Codec: testbed.CodecBinary, Batch: 1},
+		{Procs: 2},
+		{Procs: 2, Batch: 1},
 	}
 	for i := range configs {
 		pr := &configs[i]
@@ -142,17 +141,6 @@ func TestProcRunnerBatchPipelineConfigs(t *testing.T) {
 				t.Fatalf("config %d point %d diverges from pool", i, j)
 			}
 		}
-	}
-}
-
-// TestProcRunnerRejectsUnknownCodec pins the config validation: a codec
-// this binary does not implement fails fast, before any worker spawns.
-func TestProcRunnerRejectsUnknownCodec(t *testing.T) {
-	pr := &ProcRunner{Procs: 1, Codec: "protobuf"}
-	defer pr.Close()
-	_, err := pr.Run(context.Background(), testRequests(t, 1))
-	if err == nil || !strings.Contains(err.Error(), `unknown frame codec "protobuf"`) {
-		t.Fatalf("unknown codec error = %v", err)
 	}
 }
 

@@ -90,14 +90,14 @@ func FuzzWireHello(f *testing.F) {
 func binFrameBytes(t testing.TB, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrameCodec(&buf, CodecBinary, v); err != nil {
+	if err := WriteBinaryFrame(&buf, v); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // FuzzBinaryFrame feeds the binary-codec frame decoder arbitrary byte
-// streams, mirroring FuzzReadFrame for the JSON codec: hostile length
+// streams, mirroring FuzzReadFrame for the JSON handshake frames: hostile length
 // prefixes, truncated payloads, and garbage encodings must surface as
 // clean protocol errors — never a panic, never an allocation sized by a
 // declared length rather than the bytes present. Accepted inputs must
@@ -120,11 +120,11 @@ func FuzzBinaryFrame(f *testing.F) {
 		for _, probe := range []func() (any, error){
 			func() (any, error) {
 				var v WireBatch
-				return &v, ReadFrameCodec(bytes.NewReader(data), CodecBinary, &v)
+				return &v, ReadBinaryFrame(bytes.NewReader(data), &v)
 			},
 			func() (any, error) {
 				var v WireBatchResult
-				return &v, ReadFrameCodec(bytes.NewReader(data), CodecBinary, &v)
+				return &v, ReadBinaryFrame(bytes.NewReader(data), &v)
 			},
 		} {
 			v, err := probe()
@@ -154,9 +154,9 @@ func FuzzBinaryFrame(f *testing.F) {
 
 // TestBinaryMatchesJSONDecode is the cross-codec property test: for
 // every wire type, the value decoded from the binary codec equals the
-// value decoded from the JSON codec for the same original — the
-// byte-identical-output guarantee across mixed-codec fleets reduces to
-// this equality.
+// value encoding/json decodes from the same original — the oracle that
+// pins the binary codec to the wire structs' JSON meaning, float64 bits
+// included.
 func TestBinaryMatchesJSONDecode(t *testing.T) {
 	req := workerRequest(t, 5)
 	m, err := NewBench(0).Do(req)
@@ -166,12 +166,11 @@ func TestBinaryMatchesJSONDecode(t *testing.T) {
 	values := []any{
 		Hello(),
 		JobsHello(),
-		WireStart{Codec: CodecBinary},
 		WireBatch{ID: 42, Reqs: []Request{req, {Op: OpAnalyze, Scenario: req.Scenario, Fit: &FitConfig{Seed: 3, TrainRows: 10, TestRows: 4}}}},
 		WireItem{M: m},
 		WireBatchResult{ID: 7, Items: []WireItem{{M: m}, {Err: "trial count"}}},
-		WireBatchResult{Err: "rejected"},
-		WireJob{Proto: JobProtocolVersion, Op: JobOpRun, Codec: CodecBinary, Job: json.RawMessage(`{"kind":"sweep"}`)},
+		WireBatchResult{},
+		WireJob{Proto: JobProtocolVersion, Op: JobOpRun, Job: json.RawMessage(`{"kind":"sweep"}`)},
 		WireResult{Kind: ResultChunk, Chunk: "| XR1 | local |\n"},
 		WireResult{Kind: ResultStats, Stats: json.RawMessage(`{"queued":1}`)},
 	}

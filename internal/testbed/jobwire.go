@@ -10,8 +10,9 @@ import (
 // server exchange after the WireHello handshake. It is versioned
 // independently of ProtocolVersion (the measurement frames) so the fleet
 // protocol and the job protocol can evolve separately; bump it on any
-// incompatible job-frame change.
-const JobProtocolVersion = 1
+// incompatible job-frame change. Version 2 made every WireResult frame
+// binary.
+const JobProtocolVersion = 2
 
 // ServiceJobs is the WireHello.Service value announced by a job server
 // (`xrperf server`), distinguishing it from a worker-fleet node
@@ -40,20 +41,15 @@ const (
 
 // WireJob is the one frame a client sends after the handshake: the
 // job-protocol version, the requested operation, and — for run — the
-// job document itself. The payload is carried opaquely (the job schema
-// lives in internal/job, above this package) so the wire layer never
-// constrains what a job can say.
+// job document itself. Like the handshake it is JSON; every WireResult
+// the server answers with is binary. The payload is carried opaquely
+// (the job schema lives in internal/job, above this package) so the
+// wire layer never constrains what a job can say.
 type WireJob struct {
 	// Proto is the client's JobProtocolVersion.
 	Proto int `json:"proto"`
 	// Op selects the operation; empty means JobOpRun.
 	Op string `json:"op,omitempty"`
-	// Codec selects the encoding of the server's WireResult stream; empty
-	// means JSON. A client picks it from the server hello's codec
-	// advertisement, so an old client (which never sets it) and an old
-	// server (which ignores it) interoperate unchanged — WireJob itself,
-	// like every handshake frame, is always JSON.
-	Codec string `json:"codec,omitempty"`
 	// Job is the job document (internal/job.Job JSON) for run ops.
 	Job json.RawMessage `json:"job,omitempty"`
 }

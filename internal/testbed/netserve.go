@@ -18,14 +18,12 @@ func ServeListener(ctx context.Context, ln net.Listener, logf func(format string
 // until ctx is canceled (or the listener fails) and answer each over the
 // length-delimited frame protocol. Every connection opens with a
 // handshake frame (WireHello) carrying this binary's protocol and
-// physics versions plus its codec advertisement, so an incompatible
-// dispatcher rejects the node before any work is exchanged and a
-// compatible one picks the densest codec both sides speak (opts.JSONOnly
-// withholds the binary advertisement). Connections are served
-// concurrently and share one Executor, so re-fitted model bundles are
-// resolved once per node, not once per dispatcher connection. A
-// connection-level failure (disconnect, corrupt frame) closes that
-// connection only — reported via logf when non-nil — never the node.
+// physics versions, so an incompatible dispatcher rejects the node
+// before any work is exchanged. Connections are served concurrently and
+// share one Executor, so re-fitted model bundles are resolved once per
+// node, not once per dispatcher connection. A connection-level failure
+// (disconnect, corrupt frame) closes that connection only — reported
+// via logf when non-nil — never the node.
 // Canceling ctx closes the listener and every live connection and
 // returns nil promptly — an in-flight measurement is not waited for (it
 // is CPU-bound and uncancelable; its goroutine exits once its response
@@ -77,39 +75,24 @@ func ServeListenerOpts(ctx context.Context, ln net.Listener, logf func(format st
 				mu.Unlock()
 				_ = conn.Close()
 			}()
-			if err := ServeConnOpts(exec, conn, opts); err != nil && ctx.Err() == nil && logf != nil {
+			// A clean disconnect (EOF before a frame header) returns nil,
+			// and a peer that vanishes mid-read surfaces as a
+			// closed-connection error, treated like the pipe worker's
+			// clean EOF.
+			err := exec.ServeFrames(conn, conn, opts)
+			if err != nil && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil && logf != nil {
 				logf("connection %s: %v", conn.RemoteAddr(), err)
 			}
 		}()
 	}
 }
 
-// ServeConn performs the node side of one dispatcher connection with
-// default options; see ServeConnOpts.
-func ServeConn(e *Executor, conn net.Conn) error {
-	return ServeConnOpts(e, conn, ServeOptions{})
-}
-
-// ServeConnOpts performs the node side of one dispatcher connection:
-// write the handshake frame, negotiate the codec, then run the
-// executor's serve loop until the peer disconnects. A clean disconnect
-// (EOF before a frame header) returns nil.
-func ServeConnOpts(e *Executor, conn net.Conn, opts ServeOptions) error {
-	err := e.ServeFramesOpts(conn, conn, opts)
-	// A peer that vanishes mid-read surfaces as a closed-connection
-	// error; treat it like the pipe worker's clean EOF.
-	if err != nil && errors.Is(err, net.ErrClosed) {
-		return nil
-	}
-	return err
-}
-
 // ReadHello reads and validates a worker's handshake frame. It is the
 // dispatcher half of the handshake every serve loop initiates: a frame
 // error means the peer is not a worker at all; a version mismatch
 // (ErrVersionMismatch) means it is one, built from incompatible code.
-// The returned hello carries the worker's codec advertisement even when
-// validation fails.
+// The returned hello carries the worker's versions and capacity hints
+// even when validation fails.
 func ReadHello(r io.Reader) (WireHello, error) {
 	var h WireHello
 	if err := ReadFrame(r, &h); err != nil {

@@ -14,14 +14,11 @@ func TestHelloCheck(t *testing.T) {
 	if err := Hello().Check(); err != nil {
 		t.Fatalf("own handshake must validate: %v", err)
 	}
-	if err := JSONHello().Check(); err != nil {
-		t.Fatalf("JSON-only handshake must validate: %v", err)
-	}
 	for _, h := range []WireHello{
 		{Protocol: ProtocolVersion + 1, Physics: PhysicsVersion},
 		{Protocol: ProtocolVersion, Physics: PhysicsVersion + 1},
-		{Protocol: 1, Physics: PhysicsVersion}, // a v1 binary's hello
-		{Protocol: 1, Physics: PhysicsVersion, Codecs: CodecBinary},
+		{Protocol: 1, Physics: PhysicsVersion},           // a v1 binary's hello
+		{Protocol: 2, Physics: PhysicsVersion, Cores: 4}, // a v2 binary's hello: JSON or binary batches
 		{},
 	} {
 		err := h.Check()
@@ -60,9 +57,8 @@ func startNode(t *testing.T) string {
 }
 
 // TestServeListenerHandshakeAndMeasure drives the node end of the
-// network protocol with a raw client, once per codec: the connection
-// opens with a valid handshake advertising the binary codec, the client
-// selects a codec with WireStart, good requests answer with the bench's
+// network protocol with a raw client over two connections in turn: each
+// opens with a valid handshake, good requests answer with the bench's
 // exact measurement, request-level failures answer in-band as per-item
 // errors without killing the connection, and a second batch on the same
 // connection works (the executor is shared, not consumed).
@@ -76,7 +72,7 @@ func TestServeListenerHandshakeAndMeasure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, codec := range []string{CodecJSON, CodecBinary} {
+	for c := 0; c < 2; c++ {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -84,36 +80,30 @@ func TestServeListenerHandshakeAndMeasure(t *testing.T) {
 		br := bufio.NewReader(conn)
 		hello, err := ReadHello(br)
 		if err != nil {
-			t.Fatalf("%s handshake: %v", codec, err)
+			t.Fatalf("connection %d handshake: %v", c, err)
 		}
 		// The dynamic throughput hint is zero on a cold node and primed by
-		// the first codec round's batches; everything else is static.
-		if codec == CodecJSON && hello.CellsPerSec != 0 {
+		// the first connection's batches; everything else is static.
+		if c == 0 && hello.CellsPerSec != 0 {
 			t.Fatalf("cold node advertises throughput %v", hello.CellsPerSec)
 		}
-		if codec == CodecBinary && hello.CellsPerSec <= 0 {
+		if c == 1 && hello.CellsPerSec <= 0 {
 			t.Fatalf("warm node advertises no throughput hint: %+v", hello)
 		}
 		hello.CellsPerSec = 0
 		if hello != Hello() {
-			t.Fatalf("%s hello = %+v", codec, hello)
-		}
-		if !hello.Supports(codec) {
-			t.Fatalf("node does not advertise %s", codec)
-		}
-		if err := WriteFrame(conn, WireStart{Codec: codec}); err != nil {
-			t.Fatal(err)
+			t.Fatalf("connection %d hello = %+v", c, hello)
 		}
 		for round := 0; round < 2; round++ {
-			if err := WriteFrameCodec(conn, codec, WireBatch{ID: round, Reqs: []Request{good, bad, good}}); err != nil {
+			if err := WriteBinaryFrame(conn, WireBatch{ID: round, Reqs: []Request{good, bad, good}}); err != nil {
 				t.Fatal(err)
 			}
 			var res WireBatchResult
-			if err := ReadFrameCodec(br, codec, &res); err != nil {
-				t.Fatalf("%s batch %d: %v", codec, round, err)
+			if err := ReadBinaryFrame(br, &res); err != nil {
+				t.Fatalf("connection %d batch %d: %v", c, round, err)
 			}
-			if res.ID != round || res.Err != "" || len(res.Items) != 3 {
-				t.Fatalf("%s batch %d = %+v", codec, round, res)
+			if res.ID != round || len(res.Items) != 3 {
+				t.Fatalf("connection %d batch %d = %+v", c, round, res)
 			}
 			for i, item := range res.Items {
 				if i == 1 {
@@ -123,91 +113,11 @@ func TestServeListenerHandshakeAndMeasure(t *testing.T) {
 					continue
 				}
 				if item.Err != "" || item.M != want {
-					t.Fatalf("%s batch %d item %d = %+v, want %+v", codec, round, i, item, want)
+					t.Fatalf("connection %d batch %d item %d = %+v, want %+v", c, round, i, item, want)
 				}
 			}
 		}
 		conn.Close()
-	}
-}
-
-// TestServeListenerJSONOnly pins the mixed-fleet escape hatch: a node
-// started with ServeOptions{JSONOnly: true} advertises no binary codec,
-// serves JSON batches normally, and rejects a dispatcher that forces
-// binary anyway with an envelope error naming the mismatch.
-func TestServeListenerJSONOnly(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- ServeListenerOpts(ctx, ln, nil, ServeOptions{JSONOnly: true}) }()
-	t.Cleanup(func() {
-		cancel()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("ServeListenerOpts: %v", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Error("ServeListenerOpts did not return after cancel")
-		}
-	})
-	addr := ln.Addr().String()
-	good := workerRequest(t, 3)
-	want, err := NewBench(0).Do(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// JSON works end to end.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	hello, err := ReadHello(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hello != JSONHello() || hello.Supports(CodecBinary) {
-		t.Fatalf("JSON-only node hello = %+v", hello)
-	}
-	if err := WriteFrame(conn, WireStart{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(conn, WireBatch{ID: 0, Reqs: []Request{good}}); err != nil {
-		t.Fatal(err)
-	}
-	var res WireBatchResult
-	if err := ReadFrame(br, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Err != "" || len(res.Items) != 1 || res.Items[0].M != want {
-		t.Fatalf("JSON batch result = %+v", res)
-	}
-	conn.Close()
-
-	// A forced binary start is rejected in-band.
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	br2 := bufio.NewReader(conn2)
-	if _, err := ReadHello(br2); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(conn2, WireStart{Codec: CodecBinary}); err != nil {
-		t.Fatal(err)
-	}
-	var rej WireBatchResult
-	if err := ReadFrame(br2, &rej); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rej.Err, `codec "binary"`) || !strings.Contains(rej.Err, "this worker speaks json") {
-		t.Fatalf("rejection frame = %+v", rej)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 )
 
@@ -22,15 +21,16 @@ import (
 const WorkerEnv = "XRPERF_PROC_WORKER"
 
 // ProtocolVersion identifies the wire protocol of this binary: the
-// 4-byte-length-prefixed framing, the handshake/start negotiation, and
-// the WireBatch/WireBatchResult message schema. Version 2 replaced the
-// per-request WireRequest/WireResponse round trips of version 1 with
-// batched, pipelined frames and per-connection codec negotiation
-// (WireHello.Codecs + WireStart). Every worker — subprocess or serve
-// node — announces it in its handshake so a dispatcher built against an
-// incompatible frame layout is rejected before any work is exchanged.
-// Bump it on any incompatible frame or message change.
-const ProtocolVersion = 2
+// 4-byte-length-prefixed framing, the JSON handshake, and the
+// WireBatch/WireBatchResult message schema. Version 2 replaced the
+// per-request round trips of version 1 with batched, pipelined frames
+// and a per-connection choice of JSON or binary batch frames; version 3
+// dropped the choice, so every frame after the handshake is binary.
+// Every worker — subprocess or serve node — announces it in its
+// handshake so a dispatcher built against an incompatible frame layout
+// is rejected before any work is exchanged. Bump it on any incompatible
+// frame or message change.
+const ProtocolVersion = 3
 
 // MaxFrameBytes bounds a single protocol frame; larger length prefixes
 // indicate a corrupt or hostile stream and are rejected.
@@ -38,37 +38,6 @@ const MaxFrameBytes = 8 << 20
 
 // ErrFrame indicates a malformed protocol frame.
 var ErrFrame = errors.New("testbed: bad protocol frame")
-
-// Frame codecs negotiated per connection: the handshake (WireHello) and
-// the start frame (WireStart) are always JSON, and every batch frame
-// after them is encoded in the codec the dispatcher selected from the
-// worker's advertisement.
-const (
-	// CodecJSON is the baseline codec every peer speaks; the empty
-	// string means the same thing on the wire.
-	CodecJSON = "json"
-	// CodecBinary is the compact binary codec for the hot frame types
-	// (see codec_binary.go): no field names, no float formatting, same
-	// decoded values as JSON bit for bit.
-	CodecBinary = "binary"
-)
-
-// NormalizeCodec resolves the empty codec name to CodecJSON.
-func NormalizeCodec(c string) string {
-	if c == "" {
-		return CodecJSON
-	}
-	return c
-}
-
-// KnownCodec reports whether this binary implements codec c.
-func KnownCodec(c string) bool {
-	switch NormalizeCodec(c) {
-	case CodecJSON, CodecBinary:
-		return true
-	}
-	return false
-}
 
 // WireBatch is one framed batch of requests: the dispatcher tags each
 // batch with the grid offset of its first request so results can be
@@ -92,42 +61,27 @@ type WireItem struct {
 }
 
 // WireBatchResult is one framed batch response. Items answer the
-// batch's requests positionally; a non-empty envelope Err reports a
-// protocol-level rejection (e.g. an unacceptable codec in WireStart)
-// and closes the connection.
+// batch's requests positionally.
 type WireBatchResult struct {
 	// ID echoes the batch tag.
 	ID int `json:"id"`
 	// Items answer Reqs positionally.
 	Items []WireItem `json:"items,omitempty"`
-	// Err is a connection-level rejection; no Items accompany it.
-	Err string `json:"err,omitempty"`
 }
 
-// WireStart is the one frame a dispatcher sends before its first batch:
-// the codec every subsequent frame on this connection uses. It is
-// always JSON — codec negotiation must be readable before a codec is
-// agreed — and unacknowledged: an acceptable codec costs no round trip,
-// and an unacceptable one is answered with an envelope-level
-// WireBatchResult.Err in JSON.
-type WireStart struct {
-	// Codec selects the batch-frame codec; empty means CodecJSON.
-	Codec string `json:"codec,omitempty"`
-}
-
-// ErrVersionMismatch indicates a peer whose protocol, physics, or codec
-// support differs incompatibly from this binary's.
+// ErrVersionMismatch indicates a peer whose protocol or physics version
+// differs from this binary's.
 var ErrVersionMismatch = errors.New("testbed: version mismatch")
 
 // WireHello is the handshake frame a worker writes once per connection
 // (serve nodes over TCP, worker subprocesses on stdout), before reading
 // any request: the worker's wire-protocol version, its measurement
-// semantics (PhysicsVersion), and the extra frame codecs it accepts
-// beyond JSON. The dispatcher checks the versions against its own
-// binary — a node built from different physics would return
-// measurements that silently break the byte-identical-across-backends
-// contract, so mismatched nodes are rejected up front, not discovered
-// as wrong numbers later — and picks the best codec both sides speak.
+// semantics (PhysicsVersion), and its capacity hints. The dispatcher
+// checks the versions against its own binary — a node built from
+// different physics would return measurements that silently break the
+// byte-identical-across-backends contract, so mismatched nodes are
+// rejected up front, not discovered as wrong numbers later. The hello
+// is JSON; every frame after it is binary.
 type WireHello struct {
 	// Protocol is the worker's wire-protocol version.
 	Protocol int `json:"proto"`
@@ -138,10 +92,6 @@ type WireHello struct {
 	// ServiceJobs for a job server. Version checks ignore it; clients
 	// use it to fail fast when dialing the wrong kind of endpoint.
 	Service string `json:"svc,omitempty"`
-	// Codecs lists the frame codecs the worker accepts beyond JSON,
-	// comma-separated (e.g. "binary"). Empty means JSON only. Kept a
-	// string, not a slice, so WireHello stays comparable.
-	Codecs string `json:"codecs,omitempty"`
 	// Cores is the worker's GOMAXPROCS: a static capacity hint for
 	// weighted dispatch. Optional — zero (an old node, or a worker that
 	// declines to advertise) means "no hint" and old-node handshake
@@ -153,24 +103,14 @@ type WireHello struct {
 	CellsPerSec float64 `json:"cps,omitempty"`
 }
 
-// Hello returns this binary's handshake frame, advertising every codec
-// it speaks and its core count as a static capacity hint.
+// Hello returns this binary's handshake frame, advertising its core
+// count as a static capacity hint.
 func Hello() WireHello {
 	return WireHello{
 		Protocol: ProtocolVersion,
 		Physics:  PhysicsVersion,
-		Codecs:   CodecBinary,
 		Cores:    runtime.GOMAXPROCS(0),
 	}
-}
-
-// JSONHello returns the handshake frame of a worker restricted to the
-// JSON codec (`xrperf serve -json-only`): same versions, no codec
-// advertisement, so dispatchers fall back to JSON frames automatically.
-func JSONHello() WireHello {
-	h := Hello()
-	h.Codecs = ""
-	return h
 }
 
 // Check validates a peer's handshake against this binary.
@@ -180,30 +120,6 @@ func (h WireHello) Check() error {
 			ErrVersionMismatch, h.Protocol, h.Physics, ProtocolVersion, PhysicsVersion)
 	}
 	return nil
-}
-
-// Supports reports whether the handshake's sender accepts frames in
-// codec c. Every peer speaks JSON.
-func (h WireHello) Supports(c string) bool {
-	c = NormalizeCodec(c)
-	if c == CodecJSON {
-		return true
-	}
-	for _, adv := range strings.Split(h.Codecs, ",") {
-		if strings.TrimSpace(adv) == c {
-			return true
-		}
-	}
-	return false
-}
-
-// PickCodec returns the densest codec both this binary and the
-// handshake's sender speak: binary when advertised, JSON otherwise.
-func (h WireHello) PickCodec() string {
-	if h.Supports(CodecBinary) {
-		return CodecBinary
-	}
-	return CodecJSON
 }
 
 // WriteRawFrame writes payload behind a 4-byte big-endian length prefix.
@@ -272,50 +188,32 @@ func ReadFrame(r io.Reader, v any) error {
 	return nil
 }
 
-// WriteFrameCodec encodes v in the negotiated codec behind the length
-// prefix.
-func WriteFrameCodec(w io.Writer, codec string, v any) error {
-	switch NormalizeCodec(codec) {
-	case CodecJSON:
-		return WriteFrame(w, v)
-	case CodecBinary:
-		payload, err := EncodeBinary(v)
-		if err != nil {
-			return fmt.Errorf("%w: encode: %v", ErrFrame, err)
-		}
-		return WriteRawFrame(w, payload)
-	default:
-		return fmt.Errorf("%w: unknown codec %q", ErrFrame, codec)
+// WriteBinaryFrame encodes v in the binary codec (codec_binary.go)
+// behind the length prefix: the format of every frame after the JSON
+// handshake.
+func WriteBinaryFrame(w io.Writer, v any) error {
+	payload, err := EncodeBinary(v)
+	if err != nil {
+		return fmt.Errorf("%w: encode: %v", ErrFrame, err)
 	}
+	return WriteRawFrame(w, payload)
 }
 
-// ReadFrameCodec decodes one length-prefixed frame of the negotiated
-// codec into v, with ReadFrame's EOF semantics.
-func ReadFrameCodec(r io.Reader, codec string, v any) error {
-	switch NormalizeCodec(codec) {
-	case CodecJSON:
-		return ReadFrame(r, v)
-	case CodecBinary:
-		payload, err := ReadRawFrame(r)
-		if err != nil {
-			return err
-		}
-		if err := DecodeBinary(payload, v); err != nil {
-			return fmt.Errorf("%w: decode: %v", ErrFrame, err)
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown codec %q", ErrFrame, codec)
+// ReadBinaryFrame decodes one length-prefixed binary frame into v, with
+// ReadFrame's EOF semantics.
+func ReadBinaryFrame(r io.Reader, v any) error {
+	payload, err := ReadRawFrame(r)
+	if err != nil {
+		return err
 	}
+	if err := DecodeBinary(payload, v); err != nil {
+		return fmt.Errorf("%w: decode: %v", ErrFrame, err)
+	}
+	return nil
 }
 
-// ServeOptions restricts a worker's serve loop.
+// ServeOptions configures a worker's serve loop.
 type ServeOptions struct {
-	// JSONOnly withholds the binary-codec advertisement and rejects
-	// dispatchers that request it anyway — the operational escape hatch
-	// (and mixed-fleet test fixture) for running a node on the baseline
-	// codec.
-	JSONOnly bool
 	// Meter, when set, is fed each batch's throughput and its EWMA is
 	// advertised in the handshake (WireHello.CellsPerSec). Serve nodes
 	// share one meter across connections so every dispatcher sees the
@@ -328,45 +226,31 @@ type ServeOptions struct {
 // coordinator, in fleet register mode) would read from this worker.
 func (o ServeOptions) Hello() WireHello {
 	h := Hello()
-	if o.JSONOnly {
-		h.Codecs = ""
-	}
 	h.CellsPerSec = o.Meter.Rate()
 	return h
 }
 
 // Serve runs the worker loop on a fresh executor: write the handshake,
-// negotiate the frame codec, then answer framed request batches from r
-// until EOF, writing framed results to w in arrival order. It is the
-// stdin/stdout entry point of the proc backend; network serve nodes run
-// the same loop per connection via ServeListener, sharing one executor
-// across connections.
+// then answer framed request batches from r until EOF, writing framed
+// results to w in arrival order. It is the stdin/stdout entry point of
+// the proc backend; network serve nodes run the same loop per
+// connection via ServeListener, sharing one executor across
+// connections.
 func Serve(r io.Reader, w io.Writer) error {
-	return NewExecutor(nil).ServeFrames(r, w)
+	return NewExecutor(nil).ServeFrames(r, w, ServeOptions{})
 }
 
-// ServeFrames runs the transport-agnostic worker loop on the executor
-// with default options.
-//
-//xrlint:allow ctxfirst -- serve loop ends on transport EOF/close, not ctx; dispatchers cancel by closing the conn
-func (e *Executor) ServeFrames(r io.Reader, w io.Writer) error {
-	return e.ServeFramesOpts(r, w, ServeOptions{})
-}
-
-// ServeFramesOpts runs the transport-agnostic worker loop on the
-// executor: write the handshake frame, read the dispatcher's WireStart
-// (both JSON), then answer WireBatch frames in the negotiated codec
+// ServeFrames runs the transport-agnostic worker loop on the executor:
+// write the JSON handshake frame, then answer binary WireBatch frames
 // until EOF. Request-level failures (bad trials, invalid scenario) are
-// reported per item and do not kill the loop; a batch-level rejection
-// (an unacceptable codec) is reported in a JSON envelope frame and
-// closes the connection; protocol-level failures (corrupt frame, broken
-// pipe) return an error. The hidden physics is deterministic, so a
-// worker's observations for seeded requests match any other process's
-// bit for bit — which is what lets one serve loop back pipes and
-// sockets interchangeably.
+// reported per item and do not kill the loop; protocol-level failures
+// (corrupt frame, broken pipe) return an error. The hidden physics is
+// deterministic, so a worker's observations for seeded requests match
+// any other process's bit for bit — which is what lets one serve loop
+// back pipes and sockets interchangeably.
 //
 //xrlint:allow ctxfirst -- serve loop ends on transport EOF/close, not ctx; dispatchers cancel by closing the conn
-func (e *Executor) ServeFramesOpts(r io.Reader, w io.Writer, opts ServeOptions) error {
+func (e *Executor) ServeFrames(r io.Reader, w io.Writer, opts ServeOptions) error {
 	br := bufio.NewReader(r)
 	bw := bufio.NewWriter(w)
 	if err := WriteFrame(bw, opts.Hello()); err != nil {
@@ -375,24 +259,9 @@ func (e *Executor) ServeFramesOpts(r io.Reader, w io.Writer, opts ServeOptions) 
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("worker hello: %w", err)
 	}
-	var start WireStart
-	if err := ReadFrame(br, &start); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil // dispatcher probed the handshake and left
-		}
-		return fmt.Errorf("worker start: %w", err)
-	}
-	codec := NormalizeCodec(start.Codec)
-	if !KnownCodec(codec) || (opts.JSONOnly && codec != CodecJSON) {
-		reason := fmt.Errorf("%w: dispatcher requested codec %q, this worker speaks %s",
-			ErrVersionMismatch, start.Codec, e.serveCodecs(opts))
-		_ = WriteFrame(bw, WireBatchResult{Err: reason.Error()})
-		_ = bw.Flush()
-		return reason
-	}
 	for {
 		var b WireBatch
-		if err := ReadFrameCodec(br, codec, &b); err != nil {
+		if err := ReadBinaryFrame(br, &b); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
@@ -403,20 +272,13 @@ func (e *Executor) ServeFramesOpts(r io.Reader, w io.Writer, opts ServeOptions) 
 		res := WireBatchResult{ID: b.ID, Items: e.DoBatch(context.Background(), b.Reqs)}
 		//xrlint:allow determinism -- batch wall time feeds the capacity meter (dispatch steering), never measurement data
 		opts.Meter.Observe(len(b.Reqs), time.Since(began))
-		if err := WriteFrameCodec(bw, codec, res); err != nil {
+		if err := WriteBinaryFrame(bw, res); err != nil {
 			return fmt.Errorf("worker write: %w", err)
 		}
 		if err := bw.Flush(); err != nil {
 			return fmt.Errorf("worker flush: %w", err)
 		}
 	}
-}
-
-func (e *Executor) serveCodecs(opts ServeOptions) string {
-	if opts.JSONOnly {
-		return CodecJSON
-	}
-	return CodecJSON + ", " + CodecBinary
 }
 
 // MaybeServeWorker turns the current process into a measurement worker —

@@ -52,22 +52,20 @@ func workerRequest(t testing.TB, trials int) Request {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	for _, codec := range []string{CodecJSON, CodecBinary} {
-		var buf bytes.Buffer
-		in := WireBatch{ID: 3, Reqs: []Request{workerRequest(t, 5), workerRequest(t, 2)}}
-		if err := WriteFrameCodec(&buf, codec, in); err != nil {
-			t.Fatal(err)
-		}
-		var out WireBatch
-		if err := ReadFrameCodec(&buf, codec, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.ID != 3 || len(out.Reqs) != 2 || out.Reqs[0].Trials != 5 || out.Reqs[0].Seed != in.Reqs[0].Seed {
-			t.Fatalf("%s round trip lost fields: %+v", codec, out)
-		}
-		if out.Reqs[0].Scenario.Device.Name != "XR2" || len(out.Reqs[0].Scenario.Sensors.Sensors) != 1 {
-			t.Fatalf("%s: scenario lost on the wire: %+v", codec, out.Reqs[0].Scenario)
-		}
+	var buf bytes.Buffer
+	in := WireBatch{ID: 3, Reqs: []Request{workerRequest(t, 5), workerRequest(t, 2)}}
+	if err := WriteBinaryFrame(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	var out WireBatch
+	if err := ReadBinaryFrame(&buf, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.ID != 3 || len(out.Reqs) != 2 || out.Reqs[0].Trials != 5 || out.Reqs[0].Seed != in.Reqs[0].Seed {
+		t.Fatalf("round trip lost fields: %+v", out)
+	}
+	if out.Reqs[0].Scenario.Device.Name != "XR2" || len(out.Reqs[0].Scenario.Sensors.Sensors) != 1 {
+		t.Fatalf("scenario lost on the wire: %+v", out.Reqs[0].Scenario)
 	}
 }
 
@@ -120,12 +118,11 @@ func TestRequestJSONRoundTripMeasuresIdentically(t *testing.T) {
 	}
 }
 
-// TestServeLoop drives the worker protocol end to end in-process for
-// both codecs: the worker leads with its handshake, reads the
-// dispatcher's WireStart, then answers batches — good requests answer
-// with measurements, a bad request answers with a per-item error while
-// the rest of its batch (and the loop) keeps serving, and EOF ends the
-// loop cleanly.
+// TestServeLoop drives the worker protocol end to end in-process: the
+// worker leads with its JSON handshake, then answers binary batches —
+// good requests answer with measurements, a bad request answers with a
+// per-item error while the rest of its batch (and the loop) keeps
+// serving, and EOF ends the loop cleanly.
 func TestServeLoop(t *testing.T) {
 	good := workerRequest(t, 4)
 	bad := good
@@ -135,119 +132,87 @@ func TestServeLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, codec := range []string{CodecJSON, CodecBinary} {
-		var in bytes.Buffer
-		if err := WriteFrame(&in, WireStart{Codec: codec}); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFrameCodec(&in, codec, WireBatch{ID: 7, Reqs: []Request{good, bad, good}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFrameCodec(&in, codec, WireBatch{ID: 10, Reqs: []Request{good}}); err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		if err := Serve(&in, &out); err != nil {
-			t.Fatal(err)
-		}
+	var in bytes.Buffer
+	if err := WriteBinaryFrame(&in, WireBatch{ID: 7, Reqs: []Request{good, bad, good}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinaryFrame(&in, WireBatch{ID: 10, Reqs: []Request{good}}); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := Serve(&in, &out); err != nil {
+		t.Fatal(err)
+	}
 
-		hello, err := ReadHello(&out)
-		if err != nil {
-			t.Fatalf("%s: handshake: %v", codec, err)
-		}
-		if hello != Hello() {
-			t.Fatalf("%s: hello = %+v", codec, hello)
-		}
-		var res WireBatchResult
-		if err := ReadFrameCodec(&out, codec, &res); err != nil {
-			t.Fatalf("%s: batch result: %v", codec, err)
-		}
-		if res.ID != 7 || res.Err != "" || len(res.Items) != 3 {
-			t.Fatalf("%s: batch result = %+v", codec, res)
-		}
-		for i, item := range res.Items {
-			if i == 1 {
-				if !strings.Contains(item.Err, "trial count") {
-					t.Fatalf("%s: bad request item = %+v", codec, item)
-				}
-				continue
+	hello, err := ReadHello(&out)
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	if hello != Hello() {
+		t.Fatalf("hello = %+v", hello)
+	}
+	var res WireBatchResult
+	if err := ReadBinaryFrame(&out, &res); err != nil {
+		t.Fatalf("batch result: %v", err)
+	}
+	if res.ID != 7 || len(res.Items) != 3 {
+		t.Fatalf("batch result = %+v", res)
+	}
+	for i, item := range res.Items {
+		if i == 1 {
+			if !strings.Contains(item.Err, "trial count") {
+				t.Fatalf("bad request item = %+v", item)
 			}
-			if item.Err != "" || item.M != want {
-				t.Fatalf("%s: item %d = %+v, want %+v", codec, i, item, want)
-			}
+			continue
 		}
-		var res2 WireBatchResult
-		if err := ReadFrameCodec(&out, codec, &res2); err != nil {
-			t.Fatalf("%s: second batch result: %v", codec, err)
+		if item.Err != "" || item.M != want {
+			t.Fatalf("item %d = %+v, want %+v", i, item, want)
 		}
-		if res2.ID != 10 || len(res2.Items) != 1 || res2.Items[0].M != want {
-			t.Fatalf("%s: second batch result = %+v", codec, res2)
-		}
-		if err := ReadFrameCodec(&out, codec, &WireBatchResult{}); !errors.Is(err, io.EOF) {
-			t.Fatalf("%s: extra response after EOF: %v", codec, err)
-		}
+	}
+	var res2 WireBatchResult
+	if err := ReadBinaryFrame(&out, &res2); err != nil {
+		t.Fatalf("second batch result: %v", err)
+	}
+	if res2.ID != 10 || len(res2.Items) != 1 || res2.Items[0].M != want {
+		t.Fatalf("second batch result = %+v", res2)
+	}
+	if err := ReadBinaryFrame(&out, &WireBatchResult{}); !errors.Is(err, io.EOF) {
+		t.Fatalf("extra response after EOF: %v", err)
 	}
 }
 
-// TestServeLoopRejectsUnknownCodec pins the negotiation failure path: a
-// dispatcher demanding a codec the worker does not speak is answered
-// with a JSON envelope rejection naming both sides' vocabularies, and
-// the serve loop returns the same error.
+// TestServeLoopRejectsUnknownCodec pins the failure path for a
+// dispatcher that does not speak the binary batch codec: the worker
+// writes its handshake, answers nothing after it, and the serve loop
+// returns a frame error. The inputs are what a protocol-2 dispatcher
+// sent after the handshake: a JSON start frame naming a codec, and a
+// JSON-encoded batch.
 func TestServeLoopRejectsUnknownCodec(t *testing.T) {
+	good := workerRequest(t, 4)
 	cases := []struct {
 		name  string
-		opts  ServeOptions
-		codec string
-		wants []string
+		frame any
 	}{
-		{"unknown", ServeOptions{}, "protobuf", []string{`codec "protobuf"`, "json, binary"}},
-		{"json-only-node", ServeOptions{JSONOnly: true}, CodecBinary, []string{`codec "binary"`, "this worker speaks json"}},
+		{"unknown", map[string]string{"codec": "protobuf"}},
+		{"json-batch", WireBatch{ID: 7, Reqs: []Request{good}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var in, out bytes.Buffer
-			if err := WriteFrame(&in, WireStart{Codec: tc.codec}); err != nil {
+			if err := WriteFrame(&in, tc.frame); err != nil {
 				t.Fatal(err)
 			}
-			err := NewExecutor(nil).ServeFramesOpts(&in, &out, tc.opts)
-			if !errors.Is(err, ErrVersionMismatch) {
-				t.Fatalf("serve error = %v, want ErrVersionMismatch", err)
+			err := NewExecutor(nil).ServeFrames(&in, &out, ServeOptions{})
+			if !errors.Is(err, ErrFrame) {
+				t.Fatalf("serve error = %v, want ErrFrame", err)
 			}
 			if _, err := ReadHello(&out); err != nil {
 				t.Fatal(err)
 			}
-			var res WireBatchResult
-			if err := ReadFrame(&out, &res); err != nil {
-				t.Fatal(err)
-			}
-			if res.Err == "" || len(res.Items) != 0 {
-				t.Fatalf("rejection frame = %+v", res)
-			}
-			for _, want := range tc.wants {
-				if !strings.Contains(res.Err, want) {
-					t.Fatalf("rejection %q does not mention %q", res.Err, want)
-				}
+			if out.Len() != 0 {
+				t.Fatalf("worker answered a frame it cannot decode: % x", out.Bytes())
 			}
 		})
-	}
-}
-
-// TestServeLoopJSONOnlyHello pins the restricted advertisement: a
-// JSON-only worker's handshake carries no codec list, so a dispatcher's
-// PickCodec falls back to JSON.
-func TestServeLoopJSONOnlyHello(t *testing.T) {
-	h := JSONHello()
-	if h.Supports(CodecBinary) {
-		t.Fatal("JSON-only hello must not advertise binary")
-	}
-	if !h.Supports(CodecJSON) || !h.Supports("") {
-		t.Fatal("every hello supports JSON")
-	}
-	if got := h.PickCodec(); got != CodecJSON {
-		t.Fatalf("PickCodec() = %q, want json", got)
-	}
-	if got := Hello().PickCodec(); got != CodecBinary {
-		t.Fatalf("full hello PickCodec() = %q, want binary", got)
 	}
 }
 

@@ -30,7 +30,7 @@ func frame(v any) []byte {
 
 func binFrame(v any) []byte {
 	var buf bytes.Buffer
-	if err := testbed.WriteFrameCodec(&buf, testbed.CodecBinary, v); err != nil {
+	if err := testbed.WriteBinaryFrame(&buf, v); err != nil {
 		log.Fatal(err)
 	}
 	return buf.Bytes()
@@ -63,13 +63,11 @@ func main() {
 		"FuzzBinaryFrame": {
 			"batch":         binFrame(batch),
 			"batch-result":  binFrame(result),
-			"start":         binFrame(testbed.WireStart{Codec: testbed.CodecBinary}),
 			"hostile-count": {0, 0, 0, 6, 1, 1, 0xff, 0xff, 0xff, 0x7f},
 		},
 		"FuzzWireHello": {
 			"hello":      frame(testbed.Hello()),
 			"jobs-hello": frame(testbed.JobsHello()),
-			"json-only":  frame(testbed.JSONHello()),
 			"future":     frame(testbed.WireHello{Protocol: 99, Physics: 1}),
 		},
 	}
