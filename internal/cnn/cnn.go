@@ -39,28 +39,33 @@ type Model struct {
 	EdgeClass bool
 }
 
+// table is the Table II catalog. Lookups read it in place — ranging by
+// index, since ranging over the array value would copy it whole — and
+// Catalog hands out copies.
+var table = [...]Model{
+	{Name: "MobileNetv1_240_Float", Depth: 31, SizeMB: 16.9, DepthScale: 1, GPUSupport: true},
+	{Name: "MobileNetv1_240_Quant", Depth: 31, SizeMB: 4.3, DepthScale: 1, Quantized: true},
+	{Name: "MobileNetv2_300_Float", Depth: 99, SizeMB: 24.2, DepthScale: 1, GPUSupport: true},
+	{Name: "MobileNetv2_300_Quant", Depth: 112, SizeMB: 6.9, DepthScale: 1, Quantized: true},
+	{Name: "MobileNetv2_640_Float", Depth: 155, SizeMB: 12.3, DepthScale: 1, GPUSupport: true},
+	{Name: "MobileNetv2_640_Quant", Depth: 167, SizeMB: 4.5, DepthScale: 1, Quantized: true},
+	{Name: "EfficientNet_Float", Depth: 62, SizeMB: 18.6, DepthScale: 1, GPUSupport: true},
+	{Name: "EfficientNet_Quant", Depth: 65, SizeMB: 5.4, DepthScale: 1, Quantized: true},
+	{Name: "NasNet_Float", Depth: 663, SizeMB: 21.4, DepthScale: 1, GPUSupport: true},
+	{Name: "YOLOv3", Depth: 106, SizeMB: 210, DepthScale: 1, GPUSupport: true, EdgeClass: true},
+	{Name: "YOLOv7", Depth: 0, SizeMB: 142.8, DepthScale: 1.5, GPUSupport: true, EdgeClass: true},
+}
+
 // Catalog returns the Table II models. The slice is fresh on every call.
 func Catalog() []Model {
-	return []Model{
-		{Name: "MobileNetv1_240_Float", Depth: 31, SizeMB: 16.9, DepthScale: 1, GPUSupport: true},
-		{Name: "MobileNetv1_240_Quant", Depth: 31, SizeMB: 4.3, DepthScale: 1, Quantized: true},
-		{Name: "MobileNetv2_300_Float", Depth: 99, SizeMB: 24.2, DepthScale: 1, GPUSupport: true},
-		{Name: "MobileNetv2_300_Quant", Depth: 112, SizeMB: 6.9, DepthScale: 1, Quantized: true},
-		{Name: "MobileNetv2_640_Float", Depth: 155, SizeMB: 12.3, DepthScale: 1, GPUSupport: true},
-		{Name: "MobileNetv2_640_Quant", Depth: 167, SizeMB: 4.5, DepthScale: 1, Quantized: true},
-		{Name: "EfficientNet_Float", Depth: 62, SizeMB: 18.6, DepthScale: 1, GPUSupport: true},
-		{Name: "EfficientNet_Quant", Depth: 65, SizeMB: 5.4, DepthScale: 1, Quantized: true},
-		{Name: "NasNet_Float", Depth: 663, SizeMB: 21.4, DepthScale: 1, GPUSupport: true},
-		{Name: "YOLOv3", Depth: 106, SizeMB: 210, DepthScale: 1, GPUSupport: true, EdgeClass: true},
-		{Name: "YOLOv7", Depth: 0, SizeMB: 142.8, DepthScale: 1.5, GPUSupport: true, EdgeClass: true},
-	}
+	return append([]Model(nil), table[:]...)
 }
 
 // ByName looks a model up in the catalog.
 func ByName(name string) (Model, error) {
-	for _, m := range Catalog() {
-		if m.Name == name {
-			return m, nil
+	for i := range table {
+		if table[i].Name == name {
+			return table[i], nil
 		}
 	}
 	return Model{}, fmt.Errorf("%w: %q", ErrUnknownModel, name)
@@ -69,9 +74,9 @@ func ByName(name string) (Model, error) {
 // DeviceModels returns the lightweight on-device models.
 func DeviceModels() []Model {
 	var out []Model
-	for _, m := range Catalog() {
-		if !m.EdgeClass {
-			out = append(out, m)
+	for i := range table {
+		if !table[i].EdgeClass {
+			out = append(out, table[i])
 		}
 	}
 	return out
@@ -80,9 +85,9 @@ func DeviceModels() []Model {
 // EdgeModels returns the large edge-deployed models (YOLOv3, YOLOv7).
 func EdgeModels() []Model {
 	var out []Model
-	for _, m := range Catalog() {
-		if m.EdgeClass {
-			out = append(out, m)
+	for i := range table {
+		if table[i].EdgeClass {
+			out = append(out, table[i])
 		}
 	}
 	return out

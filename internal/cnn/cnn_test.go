@@ -57,6 +57,40 @@ func TestCatalogKnownEntries(t *testing.T) {
 	}
 }
 
+// TestByNameDoesNotAllocate pins ByName to the package table: a lookup
+// copies out one entry, never the whole catalog.
+func TestByNameDoesNotAllocate(t *testing.T) {
+	var sink Model
+	allocs := testing.AllocsPerRun(100, func() {
+		m, err := ByName("YOLOv3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink = m
+	})
+	if allocs != 0 {
+		t.Fatalf("ByName made %.1f allocations, want 0", allocs)
+	}
+	_ = sink
+}
+
+// TestCatalogEditDoesNotReachByName: the table that ByName reads is not
+// the one Catalog hands out.
+func TestCatalogEditDoesNotReachByName(t *testing.T) {
+	cat := Catalog()
+	for i := range cat {
+		cat[i].Depth = -1
+		cat[i].SizeMB = -1
+	}
+	m, err := ByName("YOLOv3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Depth != 106 || m.SizeMB != 210 {
+		t.Fatalf("ByName after editing a Catalog copy = depth %d, %v MB", m.Depth, m.SizeMB)
+	}
+}
+
 func TestDeviceEdgeSplit(t *testing.T) {
 	dev := DeviceModels()
 	edge := EdgeModels()

@@ -73,66 +73,71 @@ type Device struct {
 	TrainSplit bool
 }
 
+// table is the Table I catalog. Lookups read it in place — ranging by
+// index, since ranging over the array value would copy it whole — and
+// Catalog hands out copies.
+var table = [...]Device{
+	{
+		Name: "XR1", Model: "Huawei Mate 40 Pro", SoC: "Kirin 9000 (5 nm)",
+		Class: ClassXR, CPUGHz: 3.13, GPUGHz: 0.76, RAMGB: 8,
+		MemBandwidthGBs: 44.0, OS: "Android 10", WiFi: "a/b/g/n/ac/ax",
+		ReleaseYear: 2020, TrainSplit: true,
+	},
+	{
+		Name: "XR2", Model: "OnePlus 8 Pro", SoC: "Snapdragon 865 (7 nm)",
+		Class: ClassXR, CPUGHz: 2.84, GPUGHz: 0.587, RAMGB: 8,
+		MemBandwidthGBs: 34.1, OS: "Android 10", WiFi: "a/b/g/n/ac/ax",
+		ReleaseYear: 2020, TrainSplit: false,
+	},
+	{
+		Name: "XR3", Model: "Motorola One Macro", SoC: "Helio P70 (12 nm)",
+		Class: ClassXR, CPUGHz: 2.0, GPUGHz: 0.9, RAMGB: 4,
+		MemBandwidthGBs: 14.9, OS: "Android 9", WiFi: "b/g/n",
+		ReleaseYear: 2019, TrainSplit: true,
+	},
+	{
+		Name: "XR4", Model: "Xiaomi Redmi Note8", SoC: "Snapdragon 665 (11 nm)",
+		Class: ClassXR, CPUGHz: 2.0, GPUGHz: 0.6, RAMGB: 4,
+		MemBandwidthGBs: 14.9, OS: "Android 10", WiFi: "a/b/g/n/ac",
+		ReleaseYear: 2020, TrainSplit: false,
+	},
+	{
+		Name: "XR5", Model: "Google Glass Enterprise Edition 2", SoC: "Snapdragon XR1",
+		Class: ClassXR, CPUGHz: 2.52, GPUGHz: 0.7, RAMGB: 3,
+		MemBandwidthGBs: 14.9, OS: "Android 8.1", WiFi: "a/g/b/n/ac",
+		ReleaseYear: 2019, TrainSplit: true,
+	},
+	{
+		Name: "XR6", Model: "Meta Quest 2", SoC: "Snapdragon XR2",
+		Class: ClassXR, CPUGHz: 2.84, GPUGHz: 0.587, RAMGB: 6,
+		MemBandwidthGBs: 34.1, OS: "Oculus OS", WiFi: "a/g/b/n/ac/ax",
+		ReleaseYear: 2020, TrainSplit: true,
+	},
+	{
+		Name: "XR7", Model: "Nvidia Jetson TX2", SoC: "Tegra TX2 (Denver2+A57)",
+		Class: ClassXR, CPUGHz: 2.0, GPUGHz: 1.3, RAMGB: 8,
+		MemBandwidthGBs: 59.7, OS: "Ubuntu 18.04", WiFi: "",
+		ReleaseYear: 2017, TrainSplit: false,
+	},
+	{
+		Name: "Edge", Model: "Nvidia Jetson AGX Xavier", SoC: "Tegra Xavier (ARM v8.2)",
+		Class: ClassEdge, CPUGHz: 2.26, GPUGHz: 1.377, RAMGB: 32,
+		MemBandwidthGBs: 136.5, OS: "Ubuntu 18.04 LTS", WiFi: "",
+		ReleaseYear: 2018, TrainSplit: false,
+	},
+}
+
 // Catalog returns the Table I devices. The returned slice is fresh on
 // every call so callers may mutate their copy.
 func Catalog() []Device {
-	return []Device{
-		{
-			Name: "XR1", Model: "Huawei Mate 40 Pro", SoC: "Kirin 9000 (5 nm)",
-			Class: ClassXR, CPUGHz: 3.13, GPUGHz: 0.76, RAMGB: 8,
-			MemBandwidthGBs: 44.0, OS: "Android 10", WiFi: "a/b/g/n/ac/ax",
-			ReleaseYear: 2020, TrainSplit: true,
-		},
-		{
-			Name: "XR2", Model: "OnePlus 8 Pro", SoC: "Snapdragon 865 (7 nm)",
-			Class: ClassXR, CPUGHz: 2.84, GPUGHz: 0.587, RAMGB: 8,
-			MemBandwidthGBs: 34.1, OS: "Android 10", WiFi: "a/b/g/n/ac/ax",
-			ReleaseYear: 2020, TrainSplit: false,
-		},
-		{
-			Name: "XR3", Model: "Motorola One Macro", SoC: "Helio P70 (12 nm)",
-			Class: ClassXR, CPUGHz: 2.0, GPUGHz: 0.9, RAMGB: 4,
-			MemBandwidthGBs: 14.9, OS: "Android 9", WiFi: "b/g/n",
-			ReleaseYear: 2019, TrainSplit: true,
-		},
-		{
-			Name: "XR4", Model: "Xiaomi Redmi Note8", SoC: "Snapdragon 665 (11 nm)",
-			Class: ClassXR, CPUGHz: 2.0, GPUGHz: 0.6, RAMGB: 4,
-			MemBandwidthGBs: 14.9, OS: "Android 10", WiFi: "a/b/g/n/ac",
-			ReleaseYear: 2020, TrainSplit: false,
-		},
-		{
-			Name: "XR5", Model: "Google Glass Enterprise Edition 2", SoC: "Snapdragon XR1",
-			Class: ClassXR, CPUGHz: 2.52, GPUGHz: 0.7, RAMGB: 3,
-			MemBandwidthGBs: 14.9, OS: "Android 8.1", WiFi: "a/g/b/n/ac",
-			ReleaseYear: 2019, TrainSplit: true,
-		},
-		{
-			Name: "XR6", Model: "Meta Quest 2", SoC: "Snapdragon XR2",
-			Class: ClassXR, CPUGHz: 2.84, GPUGHz: 0.587, RAMGB: 6,
-			MemBandwidthGBs: 34.1, OS: "Oculus OS", WiFi: "a/g/b/n/ac/ax",
-			ReleaseYear: 2020, TrainSplit: true,
-		},
-		{
-			Name: "XR7", Model: "Nvidia Jetson TX2", SoC: "Tegra TX2 (Denver2+A57)",
-			Class: ClassXR, CPUGHz: 2.0, GPUGHz: 1.3, RAMGB: 8,
-			MemBandwidthGBs: 59.7, OS: "Ubuntu 18.04", WiFi: "",
-			ReleaseYear: 2017, TrainSplit: false,
-		},
-		{
-			Name: "Edge", Model: "Nvidia Jetson AGX Xavier", SoC: "Tegra Xavier (ARM v8.2)",
-			Class: ClassEdge, CPUGHz: 2.26, GPUGHz: 1.377, RAMGB: 32,
-			MemBandwidthGBs: 136.5, OS: "Ubuntu 18.04 LTS", WiFi: "",
-			ReleaseYear: 2018, TrainSplit: false,
-		},
-	}
+	return append([]Device(nil), table[:]...)
 }
 
 // ByName looks a device up by its paper denotation.
 func ByName(name string) (Device, error) {
-	for _, d := range Catalog() {
-		if d.Name == name {
-			return d, nil
+	for i := range table {
+		if table[i].Name == name {
+			return table[i], nil
 		}
 	}
 	return Device{}, fmt.Errorf("%w: %q", ErrUnknownDevice, name)
@@ -142,9 +147,9 @@ func ByName(name string) (Device, error) {
 // (XR1, XR3, XR5, XR6).
 func TrainDevices() []Device {
 	var out []Device
-	for _, d := range Catalog() {
-		if d.TrainSplit {
-			out = append(out, d)
+	for i := range table {
+		if table[i].TrainSplit {
+			out = append(out, table[i])
 		}
 	}
 	return out
@@ -153,9 +158,9 @@ func TrainDevices() []Device {
 // TestDevices returns the held-out devices (XR2, XR4, XR7).
 func TestDevices() []Device {
 	var out []Device
-	for _, d := range Catalog() {
-		if !d.TrainSplit && d.Class == ClassXR {
-			out = append(out, d)
+	for i := range table {
+		if !table[i].TrainSplit && table[i].Class == ClassXR {
+			out = append(out, table[i])
 		}
 	}
 	return out

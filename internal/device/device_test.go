@@ -35,10 +35,38 @@ func TestCatalogCompleteness(t *testing.T) {
 func TestCatalogReturnsCopy(t *testing.T) {
 	a := Catalog()
 	a[0].Name = "mutated"
+	for i := range a {
+		a[i].Model = "mutated"
+	}
 	b := Catalog()
 	if b[0].Name == "mutated" {
 		t.Fatal("Catalog must return a fresh slice")
 	}
+	// Lookups read their own table, which no Catalog copy reaches.
+	if d, err := ByName("XR6"); err != nil || d.Model != "Meta Quest 2" {
+		t.Fatalf("ByName after editing a Catalog copy = %q, %v", d.Model, err)
+	}
+	if e := EdgeServer(); e.Model != "Nvidia Jetson AGX Xavier" {
+		t.Fatalf("EdgeServer after editing a Catalog copy = %q", e.Model)
+	}
+}
+
+// TestLookupsDoNotAllocate pins ByName and EdgeServer to the package
+// table: a lookup copies out one entry, never the whole catalog.
+func TestLookupsDoNotAllocate(t *testing.T) {
+	var sink Device
+	allocs := testing.AllocsPerRun(100, func() {
+		d, err := ByName("XR6")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink = d
+		sink = EdgeServer()
+	})
+	if allocs != 0 {
+		t.Fatalf("ByName + EdgeServer made %.1f allocations, want 0", allocs)
+	}
+	_ = sink
 }
 
 func TestByName(t *testing.T) {

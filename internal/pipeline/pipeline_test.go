@@ -274,3 +274,23 @@ func TestPointerOptionsCopyPerScenario(t *testing.T) {
 		t.Fatal("setting Handoff.Probability on one scenario changed another built from the same option")
 	}
 }
+
+// scenarioSink keeps benchmarked scenarios alive.
+var scenarioSink *Scenario
+
+// BenchmarkNewScenario times one scenario per op with the options a
+// sweep grid cell passes (mode, frame size, CPU clock).
+func BenchmarkNewScenario(b *testing.B) {
+	dev, err := device.ByName("XR6")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sc, err := NewScenario(dev, WithMode(ModeRemote), WithFrameSize(400), WithCPUFreq(2.0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		scenarioSink = sc
+	}
+}

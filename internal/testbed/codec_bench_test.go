@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -124,5 +125,53 @@ func BenchmarkFingerprint(b *testing.B) {
 			b.Fatal(err)
 		}
 		fpSink = fp
+	}
+}
+
+func BenchmarkWriteBinaryFrame(b *testing.B) {
+	batch, result := benchBatch(b)
+	for _, bc := range []struct {
+		name string
+		v    any
+	}{{"batch16", batch}, {"result16", result}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := WriteBinaryFrame(&buf, bc.v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			codecSink = buf.Bytes()
+		})
+	}
+}
+
+func BenchmarkReadBinaryFrame(b *testing.B) {
+	batch, result := benchBatch(b)
+	for _, bc := range []struct {
+		name string
+		v    any
+		into func() any
+	}{
+		{"batch16", batch, func() any { return new(WireBatch) }},
+		{"result16", result, func() any { return new(WireBatchResult) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var frame bytes.Buffer
+			if err := WriteBinaryFrame(&frame, bc.v); err != nil {
+				b.Fatal(err)
+			}
+			r := bytes.NewReader(frame.Bytes())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Reset(frame.Bytes())
+				if err := ReadBinaryFrame(r, bc.into()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -133,15 +133,8 @@ func buildPlan(t reflect.Type, building map[reflect.Type]*codecPlan) *codecPlan 
 // EncodeBinary encodes v (a wire struct or pointer to one) in the
 // compact binary codec.
 func EncodeBinary(v any) ([]byte, error) {
-	rv := reflect.ValueOf(v)
-	for rv.Kind() == reflect.Pointer {
-		if rv.IsNil() {
-			return nil, fmt.Errorf("%w: nil value", errBinary)
-		}
-		rv = rv.Elem()
-	}
 	scratch := encodeBufs.Get().(*[]byte)
-	buf, err := binEncoder{}.append((*scratch)[:0], planFor(rv.Type()), rv)
+	buf, err := appendBinary((*scratch)[:0], v)
 	var out []byte
 	if err == nil {
 		out = append([]byte(nil), buf...)
@@ -150,9 +143,22 @@ func EncodeBinary(v any) ([]byte, error) {
 	return out, err
 }
 
-// encodeBufs recycles the scratch buffers of EncodeBinary and of the
-// request fingerprint, so an encoding grows in a warm buffer and is
-// copied out (or hashed) once at its exact length.
+// appendBinary appends v's binary encoding to dst.
+func appendBinary(dst []byte, v any) ([]byte, error) {
+	rv := reflect.ValueOf(v)
+	for rv.Kind() == reflect.Pointer {
+		if rv.IsNil() {
+			return nil, fmt.Errorf("%w: nil value", errBinary)
+		}
+		rv = rv.Elem()
+	}
+	return binEncoder{}.append(dst, planFor(rv.Type()), rv)
+}
+
+// encodeBufs recycles the scratch buffers of EncodeBinary, of
+// WriteBinaryFrame and of the request fingerprint, so an encoding grows
+// in a warm buffer and is copied out, written or hashed once at its
+// exact length.
 var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledEncode = 64 << 10

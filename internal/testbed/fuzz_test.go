@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -22,8 +23,8 @@ func frameBytes(t testing.TB, v any) []byte {
 
 // FuzzReadFrame feeds the frame decoder arbitrary byte streams: hostile
 // length prefixes, truncated payloads, and garbage JSON must all surface
-// as clean errors — never a panic, and never an allocation sized by the
-// attacker's length prefix rather than by the bytes actually present.
+// as clean errors — never a panic, and never an allocation more than
+// maxExactFrameRead (64 KiB) ahead of the bytes actually present.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})                 // truncated header
@@ -33,9 +34,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(f, Hello()))          // valid handshake frame
 	f.Add(frameBytes(f, WireBatch{ID: 3})) // valid batch frame
 	f.Add(frameBytes(f, WireBatchResult{ID: 3, Items: []WireItem{{Err: "x"}}}))
-	// A frame declaring the maximum length but delivering ten bytes: the
-	// over-allocation regression case.
-	huge := []byte{0, 0, 127, 255, 'x', 'x', 'x', 'x', 'x', 'x'}
+	// A frame declaring the maximum length (MaxFrameBytes) but delivering
+	// six bytes: the over-allocation regression case.
+	huge := []byte{0, 128, 0, 0, 'x', 'x', 'x', 'x', 'x', 'x'}
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var v json.RawMessage
@@ -99,8 +100,8 @@ func binFrameBytes(t testing.TB, v any) []byte {
 // FuzzBinaryFrame feeds the binary-codec frame decoder arbitrary byte
 // streams, mirroring FuzzReadFrame for the JSON handshake frames: hostile length
 // prefixes, truncated payloads, and garbage encodings must surface as
-// clean protocol errors — never a panic, never an allocation sized by a
-// declared length rather than the bytes present. Accepted inputs must
+// clean protocol errors — never a panic, never an allocation more than
+// maxExactFrameRead ahead of the bytes present. Accepted inputs must
 // be stable: encoding the decoded value yields a canonical form that
 // round-trips to itself byte for byte. (The first encoding need not
 // equal the input — varints have non-minimal spellings — and DeepEqual
@@ -235,5 +236,43 @@ func TestReadFrameBoundedAllocation(t *testing.T) {
 	// counts allocations, so pair it with a size probe.
 	if allocs > 50 {
 		t.Fatalf("ReadFrame made %.0f allocations for a 9-byte hostile stream", allocs)
+	}
+}
+
+// TestReadRawFrameTruncatedAtExactThreshold pins the bytes a truncated
+// frame costs on each side of maxExactFrameRead (64 KiB): a short
+// declared length costs about itself, and any longer one, up to
+// MaxFrameBytes, costs at most 64 KiB ahead of the 5 bytes that arrive
+// (the 80 KiB bound leaves slack: the runtime rounds a large allocation
+// up to whole 8 KiB pages).
+func TestReadRawFrameTruncatedAtExactThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		declared uint32
+		maxBytes uint64
+	}{
+		{"within-threshold", 1000, 2 << 10},
+		{"at-threshold", 64 << 10, 80 << 10},
+		{"past-threshold", 64<<10 + 1, 80 << 10},
+		{"max-length", MaxFrameBytes, 80 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var head [4]byte
+			binary.BigEndian.PutUint32(head[:], tc.declared)
+			stream := append(head[:], []byte("short")...)
+			const runs = 50
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := ReadRawFrame(bytes.NewReader(stream)); !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("want ErrUnexpectedEOF, got %v", err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > tc.maxBytes {
+				t.Fatalf("a %d-byte declared frame carrying 5 bytes allocated %d bytes per read, want at most %d",
+					tc.declared, per, tc.maxBytes)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -11,6 +10,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 )
 
@@ -122,19 +122,23 @@ func (h WireHello) Check() error {
 	return nil
 }
 
-// WriteRawFrame writes payload behind a 4-byte big-endian length prefix.
-func WriteRawFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("%w: %d bytes exceeds limit %d", ErrFrame, len(payload), MaxFrameBytes)
+// WriteRawFrame sends frame, whose first 4 bytes are reserved for the
+// length prefix, in one Write: it fills in the big-endian length of
+// what follows them.
+func WriteRawFrame(w io.Writer, frame []byte) error {
+	if n := len(frame) - 4; n > MaxFrameBytes {
+		return fmt.Errorf("%w: %d bytes exceeds limit %d", ErrFrame, n, MaxFrameBytes)
 	}
-	var head [4]byte
-	binary.BigEndian.PutUint32(head[:], uint32(len(payload)))
-	if _, err := w.Write(head[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := w.Write(frame)
 	return err
 }
+
+// maxExactFrameRead caps what ReadRawFrame allocates ahead of the bytes
+// that arrive. Batch frames sit far below it, so each is read into one
+// buffer sized from its declared length; a hostile length on a short
+// stream wastes at most this much.
+const maxExactFrameRead = 64 << 10
 
 // ReadRawFrame reads one length-prefixed payload. A clean EOF before the
 // first header byte returns io.EOF; EOF mid-frame returns
@@ -151,18 +155,26 @@ func ReadRawFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrameBytes {
 		return nil, fmt.Errorf("%w: declared length %d exceeds limit %d", ErrFrame, n, MaxFrameBytes)
 	}
-	// The payload buffer grows with the bytes that actually arrive, so a
-	// hostile length prefix on a short stream costs nothing: a declared
-	// 8 MB frame that truncates after 10 bytes allocates ~10 bytes, not
-	// the declared length.
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+	// The payload starts at the declared length, capped at
+	// maxExactFrameRead, and past that grows only as bytes arrive: a
+	// typical frame costs one allocation of exactly its size, and a
+	// hostile length on a short stream at most maxExactFrameRead.
+	size := int(n)
+	payload := make([]byte, 0, min(size, maxExactFrameRead))
+	for len(payload) < size {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(size-len(payload), len(payload)))
+		}
+		m, err := io.ReadFull(r, payload[len(payload):min(cap(payload), size)])
+		payload = payload[:len(payload)+m]
 		if errors.Is(err, io.EOF) {
 			return nil, io.ErrUnexpectedEOF
 		}
-		return nil, err
+		if err != nil {
+			return nil, err
+		}
 	}
-	return buf.Bytes(), nil
+	return payload, nil
 }
 
 // WriteFrame encodes v as JSON behind a 4-byte big-endian length prefix.
@@ -171,7 +183,7 @@ func WriteFrame(w io.Writer, v any) error {
 	if err != nil {
 		return fmt.Errorf("%w: encode: %v", ErrFrame, err)
 	}
-	return WriteRawFrame(w, payload)
+	return WriteRawFrame(w, append(make([]byte, 4, 4+len(payload)), payload...))
 }
 
 // ReadFrame decodes one length-prefixed JSON frame into v. A clean EOF
@@ -190,13 +202,16 @@ func ReadFrame(r io.Reader, v any) error {
 
 // WriteBinaryFrame encodes v in the binary codec (codec_binary.go)
 // behind the length prefix: the format of every frame after the JSON
-// handshake.
+// handshake. The frame is encoded into a pooled buffer behind the
+// reserved header, so the payload is never copied out.
 func WriteBinaryFrame(w io.Writer, v any) error {
-	payload, err := EncodeBinary(v)
+	scratch := encodeBufs.Get().(*[]byte)
+	frame, err := appendBinary(append((*scratch)[:0], 0, 0, 0, 0), v)
+	defer releaseEncodeBuf(scratch, frame)
 	if err != nil {
 		return fmt.Errorf("%w: encode: %v", ErrFrame, err)
 	}
-	return WriteRawFrame(w, payload)
+	return WriteRawFrame(w, frame)
 }
 
 // ReadBinaryFrame decodes one length-prefixed binary frame into v, with

@@ -8,6 +8,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/device"
 	"repro/internal/energy"
@@ -66,6 +67,30 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if out.Reqs[0].Scenario.Device.Name != "XR2" || len(out.Reqs[0].Scenario.Sensors.Sensors) != 1 {
 		t.Fatalf("scenario lost on the wire: %+v", out.Reqs[0].Scenario)
+	}
+}
+
+// TestRawFrameRoundTripSizes sends payloads on both sides of
+// maxExactFrameRead through a reader that returns short reads, so a
+// frame past the cap is read across several buffer growths.
+func TestRawFrameRoundTripSizes(t *testing.T) {
+	for _, size := range []int{0, 1000, maxExactFrameRead, maxExactFrameRead + 1, 5*maxExactFrameRead + 7} {
+		in := make([]byte, 4+size)
+		for i := range in[4:] {
+			in[4+i] = byte(i * 7)
+		}
+		want := append([]byte(nil), in[4:]...)
+		var buf bytes.Buffer
+		if err := WriteRawFrame(&buf, in); err != nil {
+			t.Fatal(err)
+		}
+		out, err := ReadRawFrame(iotest.HalfReader(&buf))
+		if err != nil {
+			t.Fatalf("%d-byte frame: %v", size, err)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("%d-byte frame came back as %d different bytes", size, len(out))
+		}
 	}
 }
 

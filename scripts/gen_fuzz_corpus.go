@@ -52,13 +52,17 @@ func main() {
 		{Op: testbed.OpAnalyze, Fit: &testbed.FitConfig{Seed: 3, TrainRows: 10, TestRows: 4}},
 	}}
 	result := testbed.WireBatchResult{ID: 3, Items: []testbed.WireItem{{Err: "trial count"}}}
+	// Cores is the generating machine's GOMAXPROCS; zeroed, the hello
+	// seeds are the same wherever the corpus is regenerated.
+	hello, jobsHello := testbed.Hello(), testbed.JobsHello()
+	hello.Cores, jobsHello.Cores = 0, 0
 
 	seeds := map[string]map[string][]byte{
 		"FuzzReadFrame": {
-			"hello":          frame(testbed.Hello()),
+			"hello":          frame(hello),
 			"batch":          frame(batch),
 			"batch-result":   frame(result),
-			"hostile-length": {0, 0, 127, 255, 'x', 'x', 'x', 'x', 'x', 'x'},
+			"hostile-length": {0, 128, 0, 0, 'x', 'x', 'x', 'x', 'x', 'x'},
 		},
 		"FuzzBinaryFrame": {
 			"batch":         binFrame(batch),
@@ -66,8 +70,8 @@ func main() {
 			"hostile-count": {0, 0, 0, 6, 1, 1, 0xff, 0xff, 0xff, 0x7f},
 		},
 		"FuzzWireHello": {
-			"hello":      frame(testbed.Hello()),
-			"jobs-hello": frame(testbed.JobsHello()),
+			"hello":      frame(hello),
+			"jobs-hello": frame(jobsHello),
 			"future":     frame(testbed.WireHello{Protocol: 99, Physics: 1}),
 		},
 	}
