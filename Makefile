@@ -7,7 +7,7 @@ GO ?= go
 # reproduces the gate bit for bit.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race bench bench-json bench-compare lint fmt docs ci
+.PHONY: all build test race bench bench-json bench-compare lint fmt docs fuzz-corpus ci
 
 all: build
 
@@ -49,4 +49,10 @@ fmt:
 docs:
 	sh scripts/check_docs.sh
 
-ci: build lint race bench docs
+# Fuzz-corpus drift gate: the generator is deterministic, so rerunning it
+# must leave the committed seed corpora byte-identical.
+fuzz-corpus:
+	$(GO) run scripts/gen_fuzz_corpus.go
+	git diff --exit-code -- internal/testbed/testdata/fuzz
+
+ci: build lint race bench docs fuzz-corpus

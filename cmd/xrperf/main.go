@@ -174,22 +174,18 @@ func runServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "xrperf serve: "+format+"\n", a...)
 	}
 	logf("listening on %s (protocol %d, physics %d)", ln.Addr(), testbed.ProtocolVersion, testbed.PhysicsVersion)
-	// The registration handshake and the serve loop share one options
-	// value so the hello frame dialed to the coordinator carries the same
-	// capacity hints (cores, measured cells/s) dispatchers see.
-	opts := testbed.ServeOptions{Meter: &testbed.RateMeter{}}
 	if *register != "" {
 		adv := *advertise
 		if adv == "" {
 			adv = ln.Addr().String()
 		}
 		go func() {
-			if err := fleet.RegisterLoop(ctx, *register, adv, opts.Hello, logf); err != nil && ctx.Err() == nil {
+			if err := fleet.RegisterLoop(ctx, *register, adv, testbed.Hello, logf); err != nil && ctx.Err() == nil {
 				logf("registration: %v", err)
 			}
 		}()
 	}
-	if err := testbed.ServeListenerOpts(ctx, ln, logf, opts); err != nil {
+	if err := testbed.ServeListener(ctx, ln, logf); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	logf("shutting down")
@@ -341,10 +337,9 @@ func printUsage(out io.Writer) {
 	fmt.Fprintln(out, "  serve [-listen ADDR] [-register ADDR [-advertise ADDR]]")
 	fmt.Fprintln(out, "                               run a worker-fleet node: answer measurement")
 	fmt.Fprintln(out, "                               requests over TCP for -backend net dispatchers")
-	fmt.Fprintln(out, "                               (handshake carries protocol + physics versions")
-	fmt.Fprintln(out, "                               and capacity hints; -register dials a")
-	fmt.Fprintln(out, "                               -fleet-register coordinator and joins its fleet")
-	fmt.Fprintln(out, "                               until shutdown)")
+	fmt.Fprintln(out, "                               (handshake carries protocol + physics versions;")
+	fmt.Fprintln(out, "                               -register dials a -fleet-register coordinator")
+	fmt.Fprintln(out, "                               and joins its fleet until shutdown)")
 	fmt.Fprintln(out, "  server [-listen ADDR] [-max-active N] [-queue N] [-job-timeout D]")
 	fmt.Fprintln(out, "         [backend flags]       run a long-lived job server: execute submitted")
 	fmt.Fprintln(out, "                               jobs on one shared measurement cache (overlapping")

@@ -108,7 +108,7 @@ func run(args []string, out io.Writer) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	meas, err := testbed.NewExecutor(nil).DoContext(ctx, req)
+	meas, err := testbed.NewExecutor(nil).Do(ctx, req)
 	if err != nil {
 		return err
 	}

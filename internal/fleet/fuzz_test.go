@@ -26,9 +26,6 @@ func frameBytes(t testing.TB, v any) []byte {
 // exposed surface. Accepted registrations must round-trip.
 func FuzzWireRegister(f *testing.F) {
 	f.Add(frameBytes(f, WireRegister{Proto: RegisterProtocolVersion, Addr: "127.0.0.1:7777", Node: testbed.Hello()}))
-	metered := testbed.Hello()
-	metered.CellsPerSec = 412.5 // a node advertising its measured rate
-	f.Add(frameBytes(f, WireRegister{Proto: RegisterProtocolVersion, Addr: "127.0.0.1:7777", Node: metered}))
 	f.Add(frameBytes(f, WireRegister{Proto: 99, Addr: "127.0.0.1:7777", Node: testbed.Hello()}))
 	f.Add(frameBytes(f, WireRegister{Proto: RegisterProtocolVersion, Addr: "no-port", Node: testbed.Hello()}))
 	f.Add(frameBytes(f, WireRegister{Proto: RegisterProtocolVersion})) // no address at all

@@ -312,7 +312,6 @@ var testbedFrameFuncs = map[string]bool{
 	"WriteFrame": true, "ReadFrame": true, "WriteBinaryFrame": true,
 	"ReadBinaryFrame": true, "WriteRawFrame": true, "ReadRawFrame": true,
 	"ReadHello": true, "Serve": true, "ServeListener": true,
-	"ServeListenerOpts": true,
 }
 
 // checkBlockingCall reports call if it is a known blocking operation and

@@ -8,8 +8,10 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -28,6 +30,38 @@ func slowProxy(t *testing.T, delay time.Duration) *ChaosProxy {
 	}
 	t.Cleanup(func() { proxy.Close() })
 	return proxy
+}
+
+// answerListener wraps a serve node's listener and closes answered once
+// any accepted connection makes its second write: a connection's first
+// write is its hello, its second the first batch answer.
+type answerListener struct {
+	net.Listener
+	answered chan struct{}
+	once     sync.Once
+}
+
+func (l *answerListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &answerConn{Conn: c, l: l}, nil
+}
+
+// answerConn counts its writes; only the connection's serve loop writes.
+type answerConn struct {
+	net.Conn
+	l      *answerListener
+	writes int
+}
+
+func (c *answerConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if c.writes++; c.writes == 2 {
+		c.l.once.Do(func() { close(c.l.answered) })
+	}
+	return n, err
 }
 
 // nodesFile seeds a membership file and opens it as a fleet source.
@@ -190,13 +224,17 @@ func TestNetRunnerStealsFromSlowNode(t *testing.T) {
 		}
 	}
 
-	// The fast node is held too until the slow node has measured a
-	// batch: its window fills, the slow node is dealt work, and a sweep
-	// that finishes has therefore stolen. The deadline turns a missing
-	// steal into a failure instead of a hang.
-	slowMeter := &testbed.RateMeter{}
+	// The fast node is held too until the slow node has answered a
+	// batch into its proxy: its window fills, the slow node is dealt
+	// work, and a sweep that finishes has therefore stolen. The deadline
+	// turns a missing steal into a failure instead of a hang.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowLn := &answerListener{Listener: ln, answered: make(chan struct{})}
 	slowGate, fastGate := make(chan struct{}), make(chan struct{})
-	slow := startGatedNode(t, slowGate, testbed.ServeOptions{Meter: slowMeter})
+	slow := gateNode(t, serveOn(t, slowLn), slowGate)
 	t.Cleanup(func() { close(slowGate) })
 	nr := &NetRunner{
 		Nodes:        []string{slow, startGatedServeNode(t, fastGate)},
@@ -209,16 +247,11 @@ func TestNetRunnerStealsFromSlowNode(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	go func() {
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for slowMeter.Rate() == 0 {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-			}
+		select {
+		case <-slowLn.answered:
+			close(fastGate)
+		case <-ctx.Done():
 		}
-		close(fastGate)
 	}()
 	got, err := nr.Run(ctx, reqs)
 	if err != nil {
@@ -281,40 +314,60 @@ func TestNetRunnerStandbyUntilFirstJoin(t *testing.T) {
 	}
 }
 
-// TestNetNodeWeightPrecedence pins the capacity model: observed EWMA
-// throughput outranks the handshake's advertised rate, which outranks
-// the core count, which outranks the know-nothing default of 1 — and
-// degenerate samples never poison the estimate.
+// TestNetNodeWeightPrecedence pins the capacity model: a node this
+// dispatcher has not seen answer a batch has no estimate, observed
+// batches set an EWMA of cells/s, and degenerate samples never poison
+// it.
 func TestNetNodeWeightPrecedence(t *testing.T) {
 	nd := &netNode{}
-	if w := nd.weight(); w != 1 {
-		t.Fatalf("unknown node weight = %v, want 1", w)
-	}
 	if _, known := nd.estimate(); known {
-		t.Fatal("un-dialed node claims a known estimate")
-	}
-	nd.hinted(testbed.WireHello{Cores: 8})
-	if w := nd.weight(); w != 8 {
-		t.Fatalf("cores-only weight = %v, want 8", w)
-	}
-	if _, known := nd.estimate(); !known {
-		t.Fatal("hinted node claims no estimate")
-	}
-	nd.hinted(testbed.WireHello{Cores: 8, CellsPerSec: 120.5})
-	if w := nd.weight(); w != 120.5 {
-		t.Fatalf("advertised-rate weight = %v, want 120.5", w)
+		t.Fatal("unobserved node claims a known estimate")
 	}
 	nd.observe(100, 500*time.Millisecond) // 200 cells/s, first sample sticks
-	if w := nd.weight(); w != 200 {
-		t.Fatalf("first observed weight = %v, want 200", w)
+	if w, known := nd.estimate(); !known || w != 200 {
+		t.Fatalf("first observed estimate = %v, %v; want 200, true", w, known)
 	}
 	nd.observe(100, time.Second) // EWMA: 0.7*200 + 0.3*100
-	if w := nd.weight(); w != 170 {
-		t.Fatalf("EWMA weight = %v, want 170", w)
+	if w, _ := nd.estimate(); w != 170 {
+		t.Fatalf("EWMA estimate = %v, want 170", w)
 	}
 	nd.observe(0, time.Second)
 	nd.observe(10, 0)
-	if w := nd.weight(); w != 170 {
-		t.Fatalf("degenerate samples moved the weight to %v", w)
+	if w, _ := nd.estimate(); w != 170 {
+		t.Fatalf("degenerate samples moved the estimate to %v", w)
+	}
+}
+
+// TestNetPickNodeBorrowsForUnobservedNode pins the borrow rule of
+// weighted checkout without sockets: a node not yet observed scores with
+// the largest known estimate, so it wins against a busier observed
+// node; once observed slower, it loses to an idle faster one.
+func TestNetPickNodeBorrowsForUnobservedNode(t *testing.T) {
+	r := &NetRunner{Nodes: []string{"a:1", "b:2"}}
+	if err := r.init(); err != nil {
+		t.Fatal(err)
+	}
+	a, b := r.byAddr["a:1"], r.byAddr["b:2"]
+	pick := func() string {
+		t.Helper()
+		nd, _, err := r.pickNode()
+		if err != nil || nd == nil {
+			t.Fatalf("pickNode = %v, %v", nd, err)
+		}
+		return nd.addr
+	}
+	a.observe(300, time.Second)
+	a.busy.Store(1)
+	if got := pick(); got != b.addr {
+		t.Fatalf("picked %s; want the unobserved node %s", got, b.addr)
+	}
+	b.observe(30, time.Second)
+	// Several picks, so a tie broken by the rotating start cannot pass.
+	for i := 0; i < 4; i++ {
+		a.busy.Store(0)
+		b.busy.Store(0)
+		if got := pick(); got != a.addr {
+			t.Fatalf("pick %d = %s; want the faster node %s", i, got, a.addr)
+		}
 	}
 }

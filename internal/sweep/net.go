@@ -105,9 +105,8 @@ type NetRunner struct {
 	// means DefaultPipeline.
 	Pipeline int
 	// StealAfter is how long a dispatched batch may sit unanswered
-	// before an idle session re-dispatches it to another node; 0 means
-	// netStealAfter, negative disables stealing. NoSteal is the
-	// spec-friendly way to disable it.
+	// before an idle session re-dispatches it to another node; 0 or
+	// negative means netStealAfter.
 	StealAfter time.Duration
 	// NoSteal disables work stealing: a batch committed to a slow node
 	// stays there (uniform dealing). Output bytes are identical either
@@ -154,39 +153,22 @@ type netNode struct {
 	// node whose first dial is still in flight.
 	busy atomic.Int64
 
-	// wmu guards the capacity estimate: the handshake's static hints and
-	// the EWMA over latencies this dispatcher observed itself.
-	wmu        sync.Mutex
-	ewmaCPS    float64
-	helloCPS   float64
-	helloCores int
+	// wmu guards the capacity estimate: an EWMA of cells/s over the
+	// batch latencies this dispatcher observed itself.
+	wmu     sync.Mutex
+	ewmaCPS float64
 
 	mu   sync.Mutex
 	idle []*netConn
 }
 
-// estimate returns the node's capacity estimate in cells/s (or core
-// count as a stand-in), preferring what this dispatcher has observed
-// over what the node advertised, and reports whether anything is known
-// at all — a node never dialed has no hints yet.
+// estimate returns the node's capacity estimate in cells/s and reports
+// whether it is known: a node this dispatcher has not yet seen answer a
+// batch has none.
 func (nd *netNode) estimate() (float64, bool) {
 	nd.wmu.Lock()
 	defer nd.wmu.Unlock()
-	switch {
-	case nd.ewmaCPS > 0:
-		return nd.ewmaCPS, true
-	case nd.helloCPS > 0:
-		return nd.helloCPS, true
-	case nd.helloCores > 0:
-		return float64(nd.helloCores), true
-	}
-	return 1, false
-}
-
-// weight is estimate with the know-nothing default of 1.
-func (nd *netNode) weight() float64 {
-	w, _ := nd.estimate()
-	return w
+	return nd.ewmaCPS, nd.ewmaCPS > 0
 }
 
 // observe folds one answered batch into the node's observed throughput.
@@ -201,14 +183,6 @@ func (nd *netNode) observe(cells int, elapsed time.Duration) {
 	} else {
 		nd.ewmaCPS = 0.7*nd.ewmaCPS + 0.3*sample
 	}
-	nd.wmu.Unlock()
-}
-
-// hinted records the capacity hints from a fresh handshake.
-func (nd *netNode) hinted(h testbed.WireHello) {
-	nd.wmu.Lock()
-	nd.helloCores = h.Cores
-	nd.helloCPS = h.CellsPerSec
 	nd.wmu.Unlock()
 }
 
@@ -339,10 +313,10 @@ func (r *NetRunner) Stream(ctx context.Context, reqs []testbed.Request, emit fun
 		sessions = r.conns
 	}
 	stealAfter := r.StealAfter
-	if stealAfter == 0 {
+	if stealAfter <= 0 {
 		stealAfter = netStealAfter
 	}
-	if r.NoSteal || stealAfter < 0 {
+	if r.NoSteal {
 		stealAfter = 0
 	}
 	cfg := batchConfig{
@@ -475,11 +449,11 @@ func (r *NetRunner) pickNode() (*netNode, time.Duration, error) {
 	soonest := time.Duration(-1)
 	var poisons []error
 	// Two passes: collect the usable nodes and the largest known capacity
-	// estimate first, so a node nothing is known about yet — a joiner
-	// this dispatcher has never dialed — borrows that estimate instead of
-	// the know-nothing default of 1. Without the optimism a fresh node
-	// could never win a checkout against established nodes advertising
-	// hundreds of cells/s, and would never be explored at all.
+	// estimate first, so a node nothing is known about yet — one that has
+	// not answered this dispatcher a batch — borrows that estimate
+	// instead of the know-nothing default of 1. Without the optimism a
+	// fresh node could never win a checkout against established nodes
+	// observed at hundreds of cells/s, and would never be explored at all.
 	type candidate struct {
 		nd    *netNode
 		w     float64
@@ -564,7 +538,7 @@ func (r *NetRunner) dialNode(ctx context.Context, nd *netNode) (*netConn, error)
 	c := &netConn{runner: r, node: nd, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 	//xrlint:allow determinism -- connection read deadline, operational timeout rather than measurement data
 	_ = conn.SetReadDeadline(time.Now().Add(r.timeout))
-	h, err := testbed.ReadHello(c.br)
+	_, err = testbed.ReadHello(c.br)
 	switch {
 	case errors.Is(err, testbed.ErrVersionMismatch):
 		c.close()
@@ -575,7 +549,6 @@ func (r *NetRunner) dialNode(ctx context.Context, nd *netNode) (*netConn, error)
 		c.close()
 		return nil, &workerFailure{fmt.Errorf("node %s: no handshake: %w", nd.addr, err)}
 	}
-	nd.hinted(h)
 	_ = conn.SetReadDeadline(time.Time{})
 	r.liveMu.Lock()
 	if r.liveClosed {

@@ -20,21 +20,22 @@ import (
 // on a loopback listener for the test's lifetime.
 func startServeNode(t *testing.T) string {
 	t.Helper()
-	return startNode(t, testbed.ServeOptions{})
-}
-
-// startNode serves opts on a loopback listener for the test's lifetime.
-func startNode(t *testing.T, opts testbed.ServeOptions) string {
-	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveOn(t, ln)
+}
+
+// serveOn runs a worker-fleet node on ln for the test's lifetime and
+// returns its address.
+func serveOn(t *testing.T, ln net.Listener) string {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = testbed.ServeListenerOpts(ctx, ln, nil, opts)
+		_ = testbed.ServeListener(ctx, ln, nil)
 	}()
 	t.Cleanup(func() {
 		cancel()
@@ -54,13 +55,13 @@ func startNode(t *testing.T, opts testbed.ServeOptions) string {
 // drain the sweep first and the fault is never exercised.
 func startGatedServeNode(t *testing.T, gate <-chan struct{}) string {
 	t.Helper()
-	return startGatedNode(t, gate, testbed.ServeOptions{})
+	return gateNode(t, startServeNode(t), gate)
 }
 
-// startGatedNode is startGatedServeNode for a node serving opts.
-func startGatedNode(t *testing.T, gate <-chan struct{}, opts testbed.ServeOptions) string {
+// gateNode fronts the node at addr with startGatedServeNode's proxy.
+func gateNode(t *testing.T, addr string, gate <-chan struct{}) string {
 	t.Helper()
-	proxy, err := NewChaosProxy(startNode(t, opts), ChaosConfig{Hold: gate})
+	proxy, err := NewChaosProxy(addr, ChaosConfig{Hold: gate})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,6 +79,6 @@ func (p *PoolRunner) Stream(ctx context.Context, reqs []testbed.Request, emit fu
 	exec := p.executor()
 	return Stream(ctx, len(reqs), Options{Workers: p.Workers},
 		func(sctx context.Context, sh Shard) (testbed.Measurement, error) {
-			return exec.DoContext(sctx, reqs[sh.Index])
+			return exec.Do(sctx, reqs[sh.Index])
 		}, emit)
 }

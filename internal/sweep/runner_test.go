@@ -71,7 +71,7 @@ func TestPoolRunnerMatchesDirectExecution(t *testing.T) {
 	exec := testbed.NewExecutor(nil)
 	want := make([]testbed.Measurement, len(reqs))
 	for i, r := range reqs {
-		m, err := exec.Do(r)
+		m, err := exec.Do(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/cnn"
 	"repro/internal/device"
 	"repro/internal/pipeline"
 )
@@ -33,6 +34,34 @@ func benchRequests(b testing.TB) []Request {
 		reqs = append(reqs, req)
 	}
 	return reqs
+}
+
+// gridRequests builds 16 consecutive cells of a sweep grid in its
+// canonical order (internal/sweep/grid.go: device, mode, CNN, frame size,
+// then clock innermost): one device, mode and CNN over four frame sizes
+// by five clocks, cut at the dispatcher's default batch of 16. Batches of
+// a grid sweep have this shape; benchRequests mixes every device in one
+// batch, so it repeats far fewer strings than a grid batch does.
+func gridRequests(b testing.TB) []Request {
+	b.Helper()
+	dev, model := device.Catalog()[0], cnn.Catalog()[0]
+	var reqs []Request
+	for _, size := range []float64{300, 450, 600, 750} {
+		for _, ghz := range []float64{0.6, 0.9, 1.2, 1.5, 1.8} {
+			sc, err := pipeline.NewScenario(dev, pipeline.WithMode(pipeline.ModeLocal),
+				pipeline.WithFrameSize(size), pipeline.WithCPUFreq(ghz),
+				func(sc *pipeline.Scenario) { sc.LocalCNN = model })
+			if err != nil {
+				b.Fatal(err)
+			}
+			req := Request{Scenario: sc, Trials: 30, NoiseRel: DefaultNoiseRel}
+			if req.Seed, err = req.ContentSeed(42); err != nil {
+				b.Fatal(err)
+			}
+			reqs = append(reqs, req)
+		}
+	}
+	return reqs[:16]
 }
 
 // benchBatch builds the codec benchmarks' frames: benchRequests as a
@@ -68,12 +97,14 @@ func BenchmarkEncodeBinary(b *testing.B) {
 
 func BenchmarkDecodeBinary(b *testing.B) {
 	batch, result := benchBatch(b)
+	grid := WireBatch{ID: 7, Reqs: gridRequests(b)}
 	for _, bc := range []struct {
 		name string
 		v    any
 		into func() any
 	}{
 		{"batch16", batch, func() any { return new(WireBatch) }},
+		{"grid16", grid, func() any { return new(WireBatch) }},
 		{"result16", result, func() any { return new(WireBatchResult) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -150,12 +181,14 @@ func BenchmarkWriteBinaryFrame(b *testing.B) {
 
 func BenchmarkReadBinaryFrame(b *testing.B) {
 	batch, result := benchBatch(b)
+	grid := WireBatch{ID: 7, Reqs: gridRequests(b)}
 	for _, bc := range []struct {
 		name string
 		v    any
 		into func() any
 	}{
 		{"batch16", batch, func() any { return new(WireBatch) }},
+		{"grid16", grid, func() any { return new(WireBatch) }},
 		{"result16", result, func() any { return new(WireBatchResult) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

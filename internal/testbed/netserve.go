@@ -8,13 +8,7 @@ import (
 	"sync"
 )
 
-// ServeListener runs a worker-fleet node with default options; see
-// ServeListenerOpts.
-func ServeListener(ctx context.Context, ln net.Listener, logf func(format string, args ...any)) error {
-	return ServeListenerOpts(ctx, ln, logf, ServeOptions{})
-}
-
-// ServeListenerOpts runs a worker-fleet node: accept connections on ln
+// ServeListener runs a worker-fleet node: accept connections on ln
 // until ctx is canceled (or the listener fails) and answer each over the
 // length-delimited frame protocol. Every connection opens with a
 // handshake frame (WireHello) carrying this binary's protocol and
@@ -30,14 +24,8 @@ func ServeListener(ctx context.Context, ln net.Listener, logf func(format string
 // write fails on the closed socket, and the dispatcher has already
 // re-dispatched or abandoned the batch). ln is closed in every exit
 // path.
-func ServeListenerOpts(ctx context.Context, ln net.Listener, logf func(format string, args ...any), opts ServeOptions) error {
+func ServeListener(ctx context.Context, ln net.Listener, logf func(format string, args ...any)) error {
 	exec := NewExecutor(nil)
-	if opts.Meter == nil {
-		// One meter across every connection: each dispatcher sees the
-		// node's whole-machine throughput in its handshake, not the rate
-		// of whichever connection it happens to hold.
-		opts.Meter = &RateMeter{}
-	}
 	var (
 		mu   sync.Mutex
 		live = make(map[net.Conn]struct{})
@@ -79,7 +67,7 @@ func ServeListenerOpts(ctx context.Context, ln net.Listener, logf func(format st
 			// and a peer that vanishes mid-read surfaces as a
 			// closed-connection error, treated like the pipe worker's
 			// clean EOF.
-			err := exec.ServeFrames(conn, conn, opts)
+			err := exec.ServeFrames(conn, conn)
 			if err != nil && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil && logf != nil {
 				logf("connection %s: %v", conn.RemoteAddr(), err)
 			}
@@ -91,8 +79,8 @@ func ServeListenerOpts(ctx context.Context, ln net.Listener, logf func(format st
 // dispatcher half of the handshake every serve loop initiates: a frame
 // error means the peer is not a worker at all; a version mismatch
 // (ErrVersionMismatch) means it is one, built from incompatible code.
-// The returned hello carries the worker's versions and capacity hints
-// even when validation fails.
+// The returned hello carries the worker's versions even when
+// validation fails.
 func ReadHello(r io.Reader) (WireHello, error) {
 	var h WireHello
 	if err := ReadFrame(r, &h); err != nil {

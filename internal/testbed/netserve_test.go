@@ -17,8 +17,8 @@ func TestHelloCheck(t *testing.T) {
 	for _, h := range []WireHello{
 		{Protocol: ProtocolVersion + 1, Physics: PhysicsVersion},
 		{Protocol: ProtocolVersion, Physics: PhysicsVersion + 1},
-		{Protocol: 1, Physics: PhysicsVersion},           // a v1 binary's hello
-		{Protocol: 2, Physics: PhysicsVersion, Cores: 4}, // a v2 binary's hello: JSON or binary batches
+		{Protocol: 1, Physics: PhysicsVersion}, // a v1 binary's hello
+		{Protocol: 2, Physics: PhysicsVersion}, // a v2 binary's hello: JSON or binary batches
 		{},
 	} {
 		err := h.Check()
@@ -82,15 +82,6 @@ func TestServeListenerHandshakeAndMeasure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("connection %d handshake: %v", c, err)
 		}
-		// The dynamic throughput hint is zero on a cold node and primed by
-		// the first connection's batches; everything else is static.
-		if c == 0 && hello.CellsPerSec != 0 {
-			t.Fatalf("cold node advertises throughput %v", hello.CellsPerSec)
-		}
-		if c == 1 && hello.CellsPerSec <= 0 {
-			t.Fatalf("warm node advertises no throughput hint: %+v", hello)
-		}
-		hello.CellsPerSec = 0
 		if hello != Hello() {
 			t.Fatalf("connection %d hello = %+v", c, hello)
 		}

@@ -273,21 +273,14 @@ func NewExecutor(bench *Bench) *Executor {
 	return &Executor{bench: bench, fit: fitBundle, fits: make(map[FitConfig]*fitEntry)}
 }
 
-// Do executes one request.
-//
-//xrlint:allow ctxfirst -- compatibility wrapper; cancelable callers use DoContext
-func (e *Executor) Do(req Request) (Measurement, error) {
-	return e.DoContext(context.Background(), req)
-}
-
-// DoContext executes one request, aborting promptly when ctx is canceled.
+// Do executes one request, aborting promptly when ctx is canceled.
 // Measure and analyze requests are single frames and complete regardless;
 // session requests — potentially thousands of users × frames — check the
 // context every frame, which is what lets a dispatcher kill an in-flight
 // population shard mid-run. The node-side work caps are checked where
 // the work is done: the trial cap here, before a measurement, and the
 // fit-row caps in fitted, before a fit.
-func (e *Executor) DoContext(ctx context.Context, req Request) (Measurement, error) {
+func (e *Executor) Do(ctx context.Context, req Request) (Measurement, error) {
 	switch req.op() {
 	case OpMeasure:
 		if err := req.checkTrials(); err != nil {
@@ -331,7 +324,7 @@ func (e *Executor) DoBatch(ctx context.Context, reqs []Request) []WireItem {
 		if r.op() == OpAnalyze {
 			m, err = e.analyzePrefetched(r, prefetch)
 		} else {
-			m, err = e.DoContext(ctx, r)
+			m, err = e.Do(ctx, r)
 		}
 		if err != nil {
 			items[i].Err = err.Error()

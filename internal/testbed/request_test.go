@@ -191,7 +191,7 @@ func TestExecutorRefitOutsideLock(t *testing.T) {
 	analyze := func(fc FitConfig) error {
 		req := workerRequest(t, 5)
 		req.Op, req.Fit = OpAnalyze, &fc
-		_, err := e.Do(req)
+		_, err := e.Do(context.Background(), req)
 		return err
 	}
 	if err := analyze(fast); err != nil {

@@ -27,7 +27,7 @@ func sessionRequest(t *testing.T, users int, opts ...pipeline.Option) Request {
 
 func TestSessionOpRuns(t *testing.T) {
 	exec := NewExecutor(nil)
-	m, err := exec.Do(sessionRequest(t, 3))
+	m, err := exec.Do(context.Background(), sessionRequest(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSessionOpRuns(t *testing.T) {
 func TestSessionShardSplitInvariant(t *testing.T) {
 	exec := NewExecutor(nil)
 	whole := sessionRequest(t, 12)
-	wm, err := exec.Do(whole)
+	wm, err := exec.Do(context.Background(), whole)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSessionShardSplitInvariant(t *testing.T) {
 			s.Users = n
 			s.FirstUser = first
 			req.Session = &s
-			m, err := exec.Do(req)
+			m, err := exec.Do(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestSessionIncludeTrace(t *testing.T) {
 	exec := NewExecutor(nil)
 	req := sessionRequest(t, 1)
 	req.Session.IncludeTrace = true
-	m, err := exec.Do(req)
+	m, err := exec.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSessionIncludeTrace(t *testing.T) {
 	// Trace retention is single-user only: a population shard asking for
 	// traces would defeat the flat-memory contract.
 	req.Session.Users = 2
-	if _, err := exec.Do(req); err == nil {
+	if _, err := exec.Do(context.Background(), req); err == nil {
 		t.Fatal("IncludeTrace with 2 users must error")
 	}
 }
@@ -183,11 +183,11 @@ func TestSessionRequestWire(t *testing.T) {
 	if err := ReadFrame(&buf, &back); err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewExecutor(nil).Do(req)
+	a, err := NewExecutor(nil).Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewExecutor(nil).Do(back)
+	b, err := NewExecutor(nil).Do(context.Background(), back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestSessionConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		req := base()
 		tc.mutate(&req)
-		if _, err := NewExecutor(nil).Do(req); err == nil {
+		if _, err := NewExecutor(nil).Do(context.Background(), req); err == nil {
 			t.Errorf("%s: want error", tc.name)
 		}
 		if err := req.WireSafe(); err == nil {
@@ -281,7 +281,7 @@ func TestSessionCancel(t *testing.T) {
 	cancel()
 	req := sessionRequest(t, 100000)
 	req.Session.Frames = 1000
-	if _, err := NewExecutor(nil).DoContext(ctx, req); err == nil {
+	if _, err := NewExecutor(nil).Do(ctx, req); err == nil {
 		t.Fatal("canceled context must abort the session block")
 	}
 }

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -169,7 +170,7 @@ func TestPhysicsVersionPinsMeasurement(t *testing.T) {
 		{pipeline.ModeRemote, 322.32410912612028, 1264.5897066559539},
 	} {
 		sc := scenario(t, pipeline.WithMode(tc.mode), pipeline.WithFrameSize(500))
-		m, err := exec.Do(Request{Scenario: sc, Trials: 3, Seed: 12345, NoiseRel: DefaultNoiseRel})
+		m, err := exec.Do(context.Background(), Request{Scenario: sc, Trials: 3, Seed: 12345, NoiseRel: DefaultNoiseRel})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,9 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
-	"time"
 )
 
 // WorkerEnv is the environment marker the proc sweep backend sets on its
@@ -75,13 +73,13 @@ var ErrVersionMismatch = errors.New("testbed: version mismatch")
 
 // WireHello is the handshake frame a worker writes once per connection
 // (serve nodes over TCP, worker subprocesses on stdout), before reading
-// any request: the worker's wire-protocol version, its measurement
-// semantics (PhysicsVersion), and its capacity hints. The dispatcher
-// checks the versions against its own binary — a node built from
-// different physics would return measurements that silently break the
-// byte-identical-across-backends contract, so mismatched nodes are
-// rejected up front, not discovered as wrong numbers later. The hello
-// is JSON; every frame after it is binary.
+// any request: the worker's wire-protocol version and its measurement
+// semantics (PhysicsVersion). The dispatcher checks the versions against
+// its own binary — a node built from different physics would return
+// measurements that silently break the byte-identical-across-backends
+// contract, so mismatched nodes are rejected up front, not discovered as
+// wrong numbers later. The hello is JSON, and unknown keys are ignored;
+// every frame after it is binary.
 type WireHello struct {
 	// Protocol is the worker's wire-protocol version.
 	Protocol int `json:"proto"`
@@ -92,25 +90,11 @@ type WireHello struct {
 	// ServiceJobs for a job server. Version checks ignore it; clients
 	// use it to fail fast when dialing the wrong kind of endpoint.
 	Service string `json:"svc,omitempty"`
-	// Cores is the worker's GOMAXPROCS: a static capacity hint for
-	// weighted dispatch. Optional — zero (an old node, or a worker that
-	// declines to advertise) means "no hint" and old-node handshake
-	// bytes are unchanged.
-	Cores int `json:"cores,omitempty"`
-	// CellsPerSec is the worker's recently observed measurement
-	// throughput (cells/s EWMA, see RateMeter): the dynamic capacity
-	// hint, preferred over Cores when present. Optional like Cores.
-	CellsPerSec float64 `json:"cps,omitempty"`
 }
 
-// Hello returns this binary's handshake frame, advertising its core
-// count as a static capacity hint.
+// Hello returns this binary's handshake frame.
 func Hello() WireHello {
-	return WireHello{
-		Protocol: ProtocolVersion,
-		Physics:  PhysicsVersion,
-		Cores:    runtime.GOMAXPROCS(0),
-	}
+	return WireHello{Protocol: ProtocolVersion, Physics: PhysicsVersion}
 }
 
 // Check validates a peer's handshake against this binary.
@@ -227,24 +211,6 @@ func ReadBinaryFrame(r io.Reader, v any) error {
 	return nil
 }
 
-// ServeOptions configures a worker's serve loop.
-type ServeOptions struct {
-	// Meter, when set, is fed each batch's throughput and its EWMA is
-	// advertised in the handshake (WireHello.CellsPerSec). Serve nodes
-	// share one meter across connections so every dispatcher sees the
-	// node's whole-machine rate.
-	Meter *RateMeter
-}
-
-// Hello returns the handshake frame these options produce, capacity
-// hints included — the same frame a dispatcher (or a registration
-// coordinator, in fleet register mode) would read from this worker.
-func (o ServeOptions) Hello() WireHello {
-	h := Hello()
-	h.CellsPerSec = o.Meter.Rate()
-	return h
-}
-
 // Serve runs the worker loop on a fresh executor: write the handshake,
 // then answer framed request batches from r until EOF, writing framed
 // results to w in arrival order. It is the stdin/stdout entry point of
@@ -252,7 +218,7 @@ func (o ServeOptions) Hello() WireHello {
 // connection via ServeListener, sharing one executor across
 // connections.
 func Serve(r io.Reader, w io.Writer) error {
-	return NewExecutor(nil).ServeFrames(r, w, ServeOptions{})
+	return NewExecutor(nil).ServeFrames(r, w)
 }
 
 // ServeFrames runs the transport-agnostic worker loop on the executor:
@@ -265,10 +231,10 @@ func Serve(r io.Reader, w io.Writer) error {
 // back pipes and sockets interchangeably.
 //
 //xrlint:allow ctxfirst -- serve loop ends on transport EOF/close, not ctx; dispatchers cancel by closing the conn
-func (e *Executor) ServeFrames(r io.Reader, w io.Writer, opts ServeOptions) error {
+func (e *Executor) ServeFrames(r io.Reader, w io.Writer) error {
 	br := bufio.NewReader(r)
 	bw := bufio.NewWriter(w)
-	if err := WriteFrame(bw, opts.Hello()); err != nil {
+	if err := WriteFrame(bw, Hello()); err != nil {
 		return fmt.Errorf("worker hello: %w", err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -282,11 +248,7 @@ func (e *Executor) ServeFrames(r io.Reader, w io.Writer, opts ServeOptions) erro
 			}
 			return fmt.Errorf("worker read: %w", err)
 		}
-		//xrlint:allow determinism -- batch wall time feeds the capacity meter (dispatch steering), never measurement data
-		began := time.Now()
 		res := WireBatchResult{ID: b.ID, Items: e.DoBatch(context.Background(), b.Reqs)}
-		//xrlint:allow determinism -- batch wall time feeds the capacity meter (dispatch steering), never measurement data
-		opts.Meter.Observe(len(b.Reqs), time.Since(began))
 		if err := WriteBinaryFrame(bw, res); err != nil {
 			return fmt.Errorf("worker write: %w", err)
 		}

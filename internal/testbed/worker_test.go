@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -227,7 +228,7 @@ func TestServeLoopRejectsUnknownCodec(t *testing.T) {
 			if err := WriteFrame(&in, tc.frame); err != nil {
 				t.Fatal(err)
 			}
-			err := NewExecutor(nil).ServeFrames(&in, &out, ServeOptions{})
+			err := NewExecutor(nil).ServeFrames(&in, &out)
 			if !errors.Is(err, ErrFrame) {
 				t.Fatalf("serve error = %v, want ErrFrame", err)
 			}
@@ -304,7 +305,7 @@ func (lossStub) ThroughputFactor(float64) float64 { return 1 }
 // coefficient models evaluated directly.
 func TestExecutorAnalyzePaper(t *testing.T) {
 	sc := workerScenario(t)
-	m, err := NewExecutor(nil).Do(Request{Op: OpAnalyze, Scenario: sc})
+	m, err := NewExecutor(nil).Do(context.Background(), Request{Op: OpAnalyze, Scenario: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestExecutorAnalyzeFitted(t *testing.T) {
 
 	ex := NewExecutor(nil)
 	for i := 0; i < 2; i++ { // second round exercises the memoized fit
-		m, err := ex.Do(Request{Op: OpAnalyze, Scenario: sc, Fit: &fc})
+		m, err := ex.Do(context.Background(), Request{Op: OpAnalyze, Scenario: sc, Fit: &fc})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,10 @@
 // regenerates them with one command:
 //
 //	go run scripts/gen_fuzz_corpus.go
+//
+// The output depends on nothing but the wire format, so `make
+// fuzz-corpus` (a CI step) reruns it and fails if the committed corpora
+// drift.
 package main
 
 import (
@@ -52,14 +56,10 @@ func main() {
 		{Op: testbed.OpAnalyze, Fit: &testbed.FitConfig{Seed: 3, TrainRows: 10, TestRows: 4}},
 	}}
 	result := testbed.WireBatchResult{ID: 3, Items: []testbed.WireItem{{Err: "trial count"}}}
-	// Cores is the generating machine's GOMAXPROCS; zeroed, the hello
-	// seeds are the same wherever the corpus is regenerated.
-	hello, jobsHello := testbed.Hello(), testbed.JobsHello()
-	hello.Cores, jobsHello.Cores = 0, 0
 
 	seeds := map[string]map[string][]byte{
 		"FuzzReadFrame": {
-			"hello":          frame(hello),
+			"hello":          frame(testbed.Hello()),
 			"batch":          frame(batch),
 			"batch-result":   frame(result),
 			"hostile-length": {0, 128, 0, 0, 'x', 'x', 'x', 'x', 'x', 'x'},
@@ -70,8 +70,8 @@ func main() {
 			"hostile-count": {0, 0, 0, 6, 1, 1, 0xff, 0xff, 0xff, 0x7f},
 		},
 		"FuzzWireHello": {
-			"hello":      frame(hello),
-			"jobs-hello": frame(jobsHello),
+			"hello":      frame(testbed.Hello()),
+			"jobs-hello": frame(testbed.JobsHello()),
 			"future":     frame(testbed.WireHello{Protocol: 99, Physics: 1}),
 		},
 	}
