@@ -16,11 +16,11 @@ package sweep
 //     flight (cfg.depth), sending the next batch while earlier ones are
 //     still being answered, so a worker never idles between frames.
 //
-// The engine mirrors the generic in-process Stream engine's contract at
-// request granularity, which is what keeps the three backends
-// byte-identical: results are delivered to an ordered aggregator that
-// emits each contiguous prefix as it forms; failures report through the
-// same lowest-index, genuine-beats-canceled selection; cancelation
+// The engine ends in the same ordered merge as the in-process Stream
+// engine (merge, in sweep.go), at request granularity, which is what
+// keeps the three backends byte-identical: results are delivered to it
+// and it emits each contiguous prefix as it forms; failures report into
+// its lowest-index, genuine-beats-canceled selection; cancelation
 // destroys transports to unblock in-flight I/O; and a dead transport's
 // unanswered batches are re-dispatched to a fresh one under a bounded
 // per-batch attempt budget, exactly like v1 re-dispatched shards.
@@ -28,7 +28,6 @@ package sweep
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -216,8 +215,7 @@ func splitBatches(reqs []testbed.Request, sessions, batch, depth int) []*batchJo
 // batchDispatcher is the run state of one runBatches call.
 type batchDispatcher struct {
 	cfg     batchConfig
-	cctx    context.Context
-	cancel  context.CancelFunc
+	m       *merge[testbed.Measurement] // m.cctx is the sweep's context
 	queue   chan *batchJob
 	results chan indexed[testbed.Measurement]
 	// queueDone closes when every batch has been delivered. The queue
@@ -233,9 +231,6 @@ type batchDispatcher struct {
 	// so idle sessions can steal from loaded ones.
 	drivesMu sync.Mutex
 	drives   map[*driveState]struct{}
-
-	errMu    sync.Mutex
-	firstErr *pointError
 }
 
 // finish marks all batches delivered, waking pullers and campers.
@@ -244,9 +239,8 @@ func (d *batchDispatcher) finish() {
 }
 
 // runBatches evaluates reqs across the source's transports and invokes
-// emit in strict request order — the batch-dispatch mirror of the
-// generic Stream engine, with identical error selection and final-error
-// semantics.
+// emit in strict request order through the merge the Stream engine
+// uses, so error selection and the final error are Stream's.
 func runBatches(ctx context.Context, reqs []testbed.Request, cfg batchConfig, emit func(idx int, m testbed.Measurement) error) error {
 	n := len(reqs)
 	if cfg.batch <= 0 {
@@ -255,14 +249,13 @@ func runBatches(ctx context.Context, reqs []testbed.Request, cfg batchConfig, em
 	if cfg.depth <= 0 {
 		cfg.depth = DefaultPipeline
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	m := newMerge(ctx, n, emit)
+	defer m.cancel()
 
 	jobs := splitBatches(reqs, cfg.sessions, cfg.batch, cfg.depth)
 	d := &batchDispatcher{
 		cfg:       cfg,
-		cctx:      cctx,
-		cancel:    cancel,
+		m:         m,
 		queue:     make(chan *batchJob, len(jobs)),
 		results:   make(chan indexed[testbed.Measurement], n),
 		queueDone: make(chan struct{}),
@@ -301,7 +294,7 @@ func runBatches(ctx context.Context, reqs []testbed.Request, cfg batchConfig, em
 		go func() {
 			select {
 			case <-d.queueDone:
-			case <-cctx.Done():
+			case <-d.m.cctx.Done():
 			}
 			close(stop)
 		}()
@@ -311,63 +304,10 @@ func runBatches(ctx context.Context, reqs []testbed.Request, cfg batchConfig, em
 		close(d.results)
 	}()
 
-	// Ordered streaming aggregation, identical to the Stream engine's:
-	// buffer out-of-order completions, flush each contiguous prefix.
-	pending := make(map[int]testbed.Measurement)
-	next := 0
-	var emitErr error
 	for r := range d.results {
-		if emitErr != nil {
-			continue // drain; the sweep is already canceled
-		}
-		pending[r.idx] = r.val
-		for {
-			v, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if err := emit(next, v); err != nil {
-				emitErr = fmt.Errorf("sweep: emit point %d: %w", next, err)
-				cancel()
-				break
-			}
-			next++
-		}
+		m.deliver(r.idx, r.val)
 	}
-
-	d.errMu.Lock()
-	pe := d.firstErr
-	d.errMu.Unlock()
-	if pe != nil && (emitErr == nil || !errors.Is(pe.err, context.Canceled)) {
-		return fmt.Errorf("sweep: point %d: %w", pe.idx, pe.err)
-	}
-	if emitErr != nil {
-		return emitErr
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("sweep: %w", err)
-	}
-	if next != n {
-		// Cancelation raced result delivery: some points never ran.
-		return fmt.Errorf("sweep: %w", cctx.Err())
-	}
-	return nil
-}
-
-// report records a failed request index with the Stream engine's
-// selection rule — genuine errors outrank consequential Canceled ones,
-// lowest index wins within a class — and cancels the sweep.
-func (d *batchDispatcher) report(idx int, err error) {
-	canceled := errors.Is(err, context.Canceled)
-	d.errMu.Lock()
-	if d.firstErr == nil ||
-		(!canceled && errors.Is(d.firstErr.err, context.Canceled)) ||
-		(canceled == errors.Is(d.firstErr.err, context.Canceled) && idx < d.firstErr.idx) {
-		d.firstErr = &pointError{idx, err}
-	}
-	d.errMu.Unlock()
-	d.cancel()
+	return m.result()
 }
 
 // pull takes the next batch job, or reports done when every batch has
@@ -382,7 +322,7 @@ func (d *batchDispatcher) pull() (*batchJob, bool) {
 		return j, true
 	case <-d.queueDone:
 		return nil, false
-	case <-d.cctx.Done():
+	case <-d.m.cctx.Done():
 		return nil, false
 	default:
 	}
@@ -394,7 +334,7 @@ func (d *batchDispatcher) pull() (*batchJob, bool) {
 		return j, true
 	case <-d.queueDone:
 		return nil, false
-	case <-d.cctx.Done():
+	case <-d.m.cctx.Done():
 		return nil, false
 	}
 }
@@ -405,7 +345,7 @@ func (d *batchDispatcher) requeue(j *batchJob) {
 	select {
 	case d.queue <- j:
 	case <-d.queueDone:
-	case <-d.cctx.Done():
+	case <-d.m.cctx.Done():
 	}
 }
 
@@ -423,7 +363,7 @@ func (d *batchDispatcher) retry(j *batchJob, cause error) {
 	}
 	j.attempts++
 	if j.attempts >= d.cfg.budget {
-		d.report(j.off, d.cfg.givingUp(j))
+		d.m.fail(j.off, d.cfg.givingUp(j))
 		return
 	}
 	d.requeue(j)
@@ -438,7 +378,7 @@ func (d *batchDispatcher) session() {
 		if !ok {
 			return
 		}
-		t, err := d.cfg.source.acquire(d.cctx)
+		t, err := d.cfg.source.acquire(d.m.cctx)
 		if err != nil {
 			var te *terminalError
 			if errors.As(err, &te) {
@@ -452,7 +392,7 @@ func (d *batchDispatcher) session() {
 				if te.needsIdx {
 					e = noHealthySource(j.off, te.err, j.lastErr)
 				}
-				d.report(j.off, e)
+				d.m.fail(j.off, e)
 				return
 			}
 			if errors.Is(err, errStandby) {
@@ -469,7 +409,7 @@ func (d *batchDispatcher) session() {
 				case <-time.After(d.cfg.stealAfter):
 				case <-d.queueDone:
 					return
-				case <-d.cctx.Done():
+				case <-d.m.cctx.Done():
 					return
 				}
 				continue
@@ -600,7 +540,7 @@ func (d *batchDispatcher) steal(me *driveState, now time.Time) *batchJob {
 // batch this drive still owns is collected and re-dispatched through
 // retry; entries stolen by other sessions are theirs to finish.
 func (d *batchDispatcher) drive(t batchTransport, first *batchJob) {
-	stop := context.AfterFunc(d.cctx, t.destroy)
+	stop := context.AfterFunc(d.m.cctx, t.destroy)
 	defer stop()
 
 	me := &driveState{}
@@ -674,7 +614,7 @@ func (d *batchDispatcher) drive(t batchTransport, first *batchJob) {
 				// Request-level rejection from a healthy worker:
 				// deterministic, never retried. Earlier items of the batch
 				// still count — they are valid prefix results.
-				d.report(j.off+bad, t.reject(res.Items[bad].Err))
+				d.m.fail(j.off+bad, t.reject(res.Items[bad].Err))
 				recvDone <- nil
 				return
 			}
@@ -713,7 +653,7 @@ send:
 				slot = true
 			case <-d.queueDone:
 				break send
-			case <-d.cctx.Done():
+			case <-d.m.cctx.Done():
 				break send
 			case rerr = <-recvDone:
 				recvSeen = true
@@ -727,7 +667,7 @@ send:
 				continue
 			case <-d.queueDone:
 				break send
-			case <-d.cctx.Done():
+			case <-d.m.cctx.Done():
 				break send
 			case rerr = <-recvDone:
 				recvSeen = true
@@ -741,7 +681,7 @@ send:
 				case j = <-d.queue:
 				case <-d.queueDone:
 					break send
-				case <-d.cctx.Done():
+				case <-d.m.cctx.Done():
 					break send
 				case rerr = <-recvDone:
 					recvSeen = true
@@ -778,7 +718,7 @@ send:
 			case j = <-d.queue:
 			case <-d.queueDone:
 				break send
-			case <-d.cctx.Done():
+			case <-d.m.cctx.Done():
 				break send
 			case rerr = <-recvDone:
 				recvSeen = true
@@ -853,7 +793,7 @@ send:
 		orphans = append(orphans, j)
 	}
 
-	if d.cctx.Err() != nil {
+	if d.m.cctx.Err() != nil {
 		// Canceled (by a report, an emit failure, or the caller): no
 		// accounting, no retries — just make sure the transport is dead
 		// and its slot freed.

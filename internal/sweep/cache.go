@@ -2,8 +2,9 @@ package sweep
 
 import (
 	"context"
-	"runtime"
+	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/testbed"
 )
@@ -11,7 +12,8 @@ import (
 // CacheStats reports the memoizing cache's counters. Snapshots are
 // consistent: every counter is read under the one lock that guards the
 // entry map, so Hits+Misses+DiskHits always equals the number of
-// classified requests at some single instant, even mid-run.
+// classified requests at some single instant, even mid-run, and a cell
+// is counted as measured or loaded before it counts as an entry.
 type CacheStats struct {
 	// Hits counts requests served without a new backend measurement —
 	// from a completed entry, by waiting on an identical in-flight
@@ -38,24 +40,6 @@ type cacheEntry struct {
 
 func newCacheEntry() *cacheEntry { return &cacheEntry{done: make(chan struct{})} }
 
-func (e *cacheEntry) complete(m testbed.Measurement) {
-	e.once.Do(func() {
-		e.m = m
-		close(e.done)
-	})
-}
-
-// completed reports whether the entry holds a final successful
-// measurement.
-func (e *cacheEntry) completed() bool {
-	select {
-	case <-e.done:
-		return e.err == nil
-	default:
-		return false
-	}
-}
-
 // CachedRunner memoizes measurements across calls by content key on top
 // of any backend. In memory the key is the request's binary content,
 // seed included (Request.AppendKey); equal keys mean equal
@@ -68,9 +52,18 @@ func (e *cacheEntry) completed() bool {
 // and the rest wait on it. Requests that cannot be fingerprinted have
 // no key either and pass through uncached.
 //
-// In-memory entries live for the runner's lifetime — one evaluation
-// run — which is bounded by the experiment grids. A measurement that
-// fails is evicted so a later call can retry it. With a DiskCache
+// Stream emits by walking its requests' entries in index order on the
+// caller's goroutine, blocking only on an entry that is not final yet,
+// while the cells it owns are measured by the backend on a goroutine of
+// its own. So one call adds a constant number of goroutines, not one
+// per request, and the lowest-index error is simply the first one the
+// walk meets.
+//
+// In-memory entries live for the runner's lifetime, and nothing bounds
+// them but that: a CLI run's runner dies with its experiment grids, but
+// `xrperf server` keeps one runner for its whole life, so its memory
+// grows with every unique cell it has served (ROADMAP item 4). A
+// measurement that fails is evicted so a later call can retry it. With a DiskCache
 // attached (WithDiskCache), entries additionally persist across runner
 // lifetimes and processes under (Fingerprint, Seed): a cell found on
 // disk is served without any backend dispatch, and every cell the
@@ -84,6 +77,9 @@ type CachedRunner struct {
 	hits     int64
 	misses   int64
 	diskHits int64
+	// completed counts keyed entries holding a final measurement. Such
+	// an entry is never evicted, so the count only grows.
+	completed atomic.Int64
 }
 
 // CacheOption configures a CachedRunner.
@@ -111,17 +107,14 @@ func (c *CachedRunner) Backend() Runner { return c.backend }
 // Disk returns the attached persistent store, or nil.
 func (c *CachedRunner) Disk() *DiskCache { return c.disk }
 
-// Stats returns a consistent snapshot of the counters.
+// Stats returns a consistent snapshot of the counters in constant time.
 func (c *CachedRunner) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, e := range c.entries {
-		if e.completed() {
-			n++
-		}
-	}
-	return CacheStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits, Entries: n}
+	// A cell's miss or disk hit is counted under c.mu before its entry
+	// can complete, so reading completed under the lock never sees more
+	// entries than accounted cells.
+	return CacheStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits, Entries: int(c.completed.Load())}
 }
 
 // Run implements Runner.
@@ -131,25 +124,13 @@ func (c *CachedRunner) Run(ctx context.Context, reqs []testbed.Request) ([]testb
 	})
 }
 
-// maxWaiters bounds the per-request waiter fan-out of one Stream call.
-// Waiters spend their lives blocked on an entry channel, so the pool
-// need not scale with the batch: enough slots to keep the emit prefix
-// moving suffices, and a large sweep no longer spawns one goroutine per
-// request.
-func maxWaiters(n int) int {
-	if max := 8 * runtime.GOMAXPROCS(0); n > max {
-		return max
-	}
-	return n
-}
-
 // Stream implements Runner: cache misses are dispatched to the backend
-// as one sub-batch (preserving its parallelism and error semantics)
-// while hits and in-flight waits resolve concurrently; emission order
-// and bytes are identical to an uncached run.
+// as one sub-batch (preserving its parallelism and error semantics) on
+// a goroutine of its own, while this goroutine walks every request's
+// entry in index order and emits it once final; emission order and
+// bytes are identical to an uncached run.
 func (c *CachedRunner) Stream(ctx context.Context, reqs []testbed.Request, emit func(idx int, m testbed.Measurement) error) error {
-	n := len(reqs)
-	if n == 0 {
+	if len(reqs) == 0 {
 		return ctx.Err()
 	}
 	entries, keys, fps, owned, ownedIdx, ownedReqs := c.classify(reqs)
@@ -160,15 +141,18 @@ func (c *CachedRunner) Stream(ctx context.Context, reqs []testbed.Request, emit 
 	if len(ownedIdx) == 0 {
 		close(bgDone)
 	} else {
-		// Write-backs run on their own goroutine so persisting one cell
-		// never stalls the backend's ordered delivery of the next; the
-		// channel holds every possible write, so sends cannot block.
+		// The backend completes entries on its own goroutine, never on
+		// the walk's: two callers that each own a cell the other waits
+		// on must both make progress. Write-backs run on a third
+		// goroutine so persisting one cell never stalls the backend's
+		// ordered delivery of the next; the channel holds every possible
+		// write, so sends cannot block.
 		writes = newDiskWriter(c.disk, len(ownedIdx))
 		go func() {
 			defer close(bgDone)
 			err := c.backend.Stream(cctx, ownedReqs, func(j int, m testbed.Measurement) error {
 				i := ownedIdx[j]
-				entries[i].complete(m)
+				c.complete(keys[i], entries[i], m)
 				writes.enqueue(fps[i], reqs[i].Seed, m)
 				return nil
 			})
@@ -185,47 +169,49 @@ func (c *CachedRunner) Stream(ctx context.Context, reqs []testbed.Request, emit 
 	}
 	defer func() {
 		cancel()
-		<-bgDone      // owned entries are final before waiters can observe a torn state
+		<-bgDone      // owned entries are final before return
 		writes.wait() // persisted before return, so a follow-up process runs warm
 	}()
 
-	// One waiter per request (capped — waiters only block on entry
-	// channels) gives the generic engine its usual ordered merge and
-	// lowest-index error selection over cached, in-flight, and owned
-	// cells alike.
-	return Stream(ctx, n, Options{Workers: maxWaiters(n)},
-		func(fctx context.Context, sh Shard) (testbed.Measurement, error) {
-			e := entries[sh.Index]
-			select {
-			case <-e.done:
-				if e.err != nil && !owned[sh.Index] && fctx.Err() == nil {
-					// Another caller's measurement failed — canceled or a
-					// transient backend error — but this caller is live.
-					// fail already evicted the entry, so re-enter the
-					// cache and measure the cell ourselves (racing
-					// retriers single-flight on a fresh entry). Owned
-					// cells never retry: their backend ran under this
-					// call's context, so their error is this call's own.
-					// An in-batch duplicate is not owned and may retry,
-					// but its owner sits at a lower index, so the owner's
-					// error is the one the call returns. For a cell that
-					// fails persistently this costs at most one dispatch
-					// per live caller — each retry either owns the fresh
-					// entry (and returns its own error, no further retry)
-					// or waits on another live caller's attempt — which
-					// is no worse than running the same callers uncached,
-					// and the recursion is bounded by the caller count.
-					ms, err := c.Run(fctx, reqs[sh.Index:sh.Index+1])
-					if err != nil {
-						return testbed.Measurement{}, err
-					}
-					return ms[0], nil
-				}
-				return e.m, e.err
-			case <-fctx.Done():
-				return testbed.Measurement{}, fctx.Err()
+	for i, e := range entries {
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return fmt.Errorf("sweep: point %d: %w", i, ctx.Err())
+		}
+		m, err := e.m, e.err
+		if err != nil && !owned[i] && ctx.Err() == nil {
+			// Another caller's measurement failed — canceled or a
+			// transient backend error — but this caller is live. fail
+			// already evicted the entry, so re-enter the cache and
+			// measure the cell ourselves (racing retriers single-flight
+			// on a fresh entry). Owned cells never retry: their backend
+			// ran under this call's context, so their error is this
+			// call's own. An in-batch duplicate is not owned, but its
+			// owner sits at a lower index, so the walk has already
+			// returned the owner's error. For a cell that fails
+			// persistently this costs at most one dispatch per live
+			// caller — each retry either owns the fresh entry (and
+			// returns its own error, no further retry) or waits on
+			// another live caller's attempt — which is no worse than
+			// running the same callers uncached, and the recursion is
+			// bounded by the caller count.
+			var ms []testbed.Measurement
+			if ms, err = c.Run(ctx, reqs[i:i+1]); err == nil {
+				m = ms[0]
 			}
-		}, emit)
+		}
+		if err != nil {
+			return fmt.Errorf("sweep: point %d: %w", i, err)
+		}
+		if err := emit(i, m); err != nil {
+			return fmt.Errorf("sweep: emit point %d: %w", i, err)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("sweep: %w", err)
+	}
+	return nil
 }
 
 // diskWrite is one pending write-back.
@@ -358,7 +344,7 @@ func (c *CachedRunner) classify(reqs []testbed.Request) (entries []*cacheEntry, 
 		if ok {
 			// Counted before completing, so a Stats snapshot never sees
 			// more completed entries than accounted cells.
-			entries[i].complete(m)
+			c.complete(keys[i], entries[i], m)
 			owned[i] = false
 			continue
 		}
@@ -378,6 +364,19 @@ func (c *CachedRunner) classify(reqs []testbed.Request) (entries []*cacheEntry, 
 // recomputes them (still memoized in memory for the runner's lifetime).
 func persistable(r testbed.Request) bool {
 	return r.Op == "" || r.Op == testbed.OpMeasure
+}
+
+// complete finalizes an entry with m if it has no result yet. A keyed
+// entry is counted before its channel closes, so a caller that saw it
+// done also sees it in Stats; a private uncached entry is never counted.
+func (c *CachedRunner) complete(key string, e *cacheEntry, m testbed.Measurement) {
+	e.once.Do(func() {
+		e.m = m
+		if key != "" {
+			c.completed.Add(1)
+		}
+		close(e.done)
+	})
 }
 
 // fail finalizes an entry with err if it has no result yet, evicting it

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -467,7 +468,7 @@ func TestCachedRunnerWaiterSurvivesForeignCancel(t *testing.T) {
 		aDone <- err
 	}()
 	for fr.calls.Load() == 0 { // A owns the entry once its backend is called
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 	type bResult struct {
 		ms  []testbed.Measurement
@@ -478,7 +479,9 @@ func TestCachedRunnerWaiterSurvivesForeignCancel(t *testing.T) {
 		ms, err := c.Run(context.Background(), reqs)
 		bDone <- bResult{ms, err}
 	}()
-	time.Sleep(50 * time.Millisecond) // let B classify as a waiter on A's entry
+	for c.Stats().Hits < 1 { // B has classified as a waiter on A's entry
+		runtime.Gosched()
+	}
 	cancelA()
 
 	if err := <-aDone; !errors.Is(err, context.Canceled) {
@@ -536,7 +539,7 @@ func TestCachedRunnerWaiterRetriesTransientFailure(t *testing.T) {
 		aDone <- err
 	}()
 	for fr.calls.Load() == 0 { // A owns the entry once its backend is called
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 	type bResult struct {
 		ms  []testbed.Measurement
@@ -547,8 +550,10 @@ func TestCachedRunnerWaiterRetriesTransientFailure(t *testing.T) {
 		ms, err := c.Run(context.Background(), reqs)
 		bDone <- bResult{ms, err}
 	}()
-	time.Sleep(50 * time.Millisecond) // let B classify as a waiter on A's entry
-	close(fr.observed)                // now A's backend fails
+	for c.Stats().Hits < 1 { // B has classified as a waiter on A's entry
+		runtime.Gosched()
+	}
+	close(fr.observed) // now A's backend fails
 
 	if err := <-aDone; err == nil || !strings.Contains(err.Error(), "crashed") {
 		t.Fatalf("owner err = %v, want the transient backend error", err)
@@ -642,8 +647,12 @@ func TestCachedRunnerStatsExcludesInFlight(t *testing.T) {
 	<-done
 }
 
-// TestCachedRunnerCapsWaiterFanout pins the fan-out bound: a large
-// batch must not spawn one waiter goroutine per request.
+// TestCachedRunnerCapsWaiterFanout pins the goroutine bound of one
+// Stream call: a 2000-cell batch adds only the backend and the disk
+// writer (plus the goroutine the test calls Stream on), never one per
+// request, and the count is back at its baseline once the call returns
+// — after a success, an emit error, a backend error and a caller
+// cancel alike.
 func TestCachedRunnerCapsWaiterFanout(t *testing.T) {
 	const n = 2000
 	base := testRequests(t, 2)[:1]
@@ -652,36 +661,82 @@ func TestCachedRunnerCapsWaiterFanout(t *testing.T) {
 		reqs[i] = base[0]
 		reqs[i].Seed = int64(i) // distinct cells, same fingerprint
 	}
-	release := make(chan struct{})
-	br := &blockingRunner{release: release}
-	c := NewCachedRunner(br)
+	errBackend := errors.New("backend down")
+	errEmit := errors.New("sink full")
+	for _, tc := range []struct {
+		name     string
+		fail     error // returned by the backend once released
+		failEmit int   // index whose emit fails; -1 for none
+		cancel   bool  // cancel the caller instead of releasing
+		want     error
+	}{
+		{name: "success", failEmit: -1},
+		{name: "emit error", failEmit: 10, want: errEmit},
+		{name: "backend error", fail: errBackend, failEmit: -1, want: errBackend},
+		{name: "caller cancel", failEmit: -1, cancel: true, want: context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "cache")
+			disk, err := OpenDiskCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A plain file where the store's directory was: every
+			// best-effort write-back fails at once, so the writer
+			// goroutine runs without 2000 file writes.
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dir, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			br := &blockingRunner{release: make(chan struct{}), fail: tc.fail}
+			c := NewCachedRunner(br, WithDiskCache(disk))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 
-	before := runtime.NumGoroutine()
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Run(context.Background(), reqs)
-		done <- err
-	}()
-	for br.started.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond) // let the waiter pool spin up fully
-	during := runtime.NumGoroutine()
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	// Engine bookkeeping adds a handful of goroutines on top of the
-	// waiter cap; far below one per request either way.
-	if limit := maxWaiters(n) + 64; during-before > limit {
-		t.Fatalf("batch of %d spawned %d goroutines, want ≤ %d", n, during-before, limit)
+			before := runtime.NumGoroutine()
+			done := make(chan error, 1)
+			go func() {
+				done <- c.Stream(ctx, reqs, func(i int, _ testbed.Measurement) error {
+					if i == tc.failEmit {
+						return errEmit
+					}
+					return nil
+				})
+			}()
+			for br.started.Load() == 0 {
+				runtime.Gosched()
+			}
+			// The disk writer starts before the backend, and the walk is
+			// blocked on cell 0: every goroutine the call makes is live.
+			if added := runtime.NumGoroutine() - before; added > 3 {
+				t.Fatalf("batch of %d added %d goroutines, want ≤ 3 (caller, backend, disk writer)", n, added)
+			}
+			if tc.cancel {
+				cancel()
+			} else {
+				close(br.release)
+			}
+			if err := <-done; !errors.Is(err, tc.want) {
+				t.Fatalf("Stream err = %v, want %v", err, tc.want)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines outlive the call (baseline %d)", runtime.NumGoroutine(), before)
+				}
+				runtime.Gosched()
+			}
+		})
 	}
 }
 
 // blockingRunner parks every Stream call until released, then emits
-// zero measurements in order.
+// zero measurements in order, or fails with fail when it is set.
 type blockingRunner struct {
 	release chan struct{}
+	fail    error
 	started atomic.Int64
 }
 
@@ -691,6 +746,9 @@ func (b *blockingRunner) Stream(ctx context.Context, reqs []testbed.Request, emi
 	case <-b.release:
 	case <-ctx.Done():
 		return ctx.Err()
+	}
+	if b.fail != nil {
+		return b.fail
 	}
 	for j := range reqs {
 		if err := emit(j, testbed.Measurement{}); err != nil {

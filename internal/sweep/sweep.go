@@ -63,14 +63,105 @@ type indexed[T any] struct {
 	val T
 }
 
-// pointError carries a failed point's position so error selection favors
-// the lowest-index failure among those reported, regardless of which
-// worker observed its error first. A genuine failure always outranks a
-// consequential context.Canceled from a point that died only because a
-// sibling's failure canceled the sweep.
-type pointError struct {
-	idx int
-	err error
+// merge is the ordered merge both parallel engines end in: Stream's
+// worker pool and the batch dispatcher (runBatches) deliver results to
+// it in any order and it emits each contiguous prefix in grid order.
+// deliver runs on the caller's goroutine only; fail may be called from
+// any goroutine.
+//
+// Failures are selected, not raced: a genuine failure always outranks a
+// context.Canceled one — a point that died only because a sibling's
+// failure (or a failed emit) canceled the sweep — and within a class the
+// lowest index wins, no matter which goroutine reported first.
+type merge[T any] struct {
+	ctx, cctx context.Context // the caller's context and the sweep's
+	cancel    context.CancelFunc
+	n         int
+	emit      func(idx int, v T) error
+	pending   map[int]T // out-of-order results awaiting their turn
+	next      int       // the next index to emit
+	emitErr   error
+
+	mu      sync.Mutex
+	failIdx int
+	failErr error // the selected point failure; nil while none
+}
+
+// newMerge starts the merge of an n-point sweep under ctx. Its cctx is
+// the sweep's context, canceled by the first failure; the caller must
+// call cancel when the sweep ends.
+func newMerge[T any](ctx context.Context, n int, emit func(idx int, v T) error) *merge[T] {
+	cctx, cancel := context.WithCancel(ctx)
+	return &merge[T]{ctx: ctx, cctx: cctx, cancel: cancel, n: n, emit: emit}
+}
+
+// deliver buffers point idx's result and emits every result the prefix
+// now reaches. After a failed emit it only drains: the sweep is already
+// canceled.
+func (m *merge[T]) deliver(idx int, v T) {
+	if m.emitErr != nil {
+		return
+	}
+	if idx != m.next {
+		if m.pending == nil {
+			m.pending = make(map[int]T)
+		}
+		m.pending[idx] = v
+		return
+	}
+	for {
+		if err := m.emit(m.next, v); err != nil {
+			m.emitErr = fmt.Errorf("sweep: emit point %d: %w", m.next, err)
+			m.cancel()
+			return
+		}
+		m.next++
+		var ok bool
+		if v, ok = m.pending[m.next]; !ok {
+			return
+		}
+		delete(m.pending, m.next)
+	}
+}
+
+// fail records point idx's failure under the selection rule and cancels
+// the sweep.
+func (m *merge[T]) fail(idx int, err error) {
+	canceled := errors.Is(err, context.Canceled)
+	m.mu.Lock()
+	if m.failErr == nil ||
+		(!canceled && errors.Is(m.failErr, context.Canceled)) ||
+		(canceled == errors.Is(m.failErr, context.Canceled) && idx < m.failIdx) {
+		m.failIdx, m.failErr = idx, err
+	}
+	m.mu.Unlock()
+	m.cancel()
+}
+
+// result is the sweep's error once every result has been delivered and
+// no further failure can be reported.
+func (m *merge[T]) result() error {
+	m.mu.Lock()
+	idx, err := m.failIdx, m.failErr
+	m.mu.Unlock()
+	// An emit failure cancels the sweep, so points dying afterwards
+	// report consequential context.Canceled errors; prefer the emit error
+	// (the root cause) over those, but never over a genuine point
+	// failure.
+	if err != nil && (m.emitErr == nil || !errors.Is(err, context.Canceled)) {
+		return fmt.Errorf("sweep: point %d: %w", idx, err)
+	}
+	if m.emitErr != nil {
+		return m.emitErr
+	}
+	if err := m.ctx.Err(); err != nil {
+		return fmt.Errorf("sweep: %w", err)
+	}
+	if m.next != m.n {
+		// Cancelation raced result delivery: some points never ran.
+		return fmt.Errorf("sweep: %w", m.cctx.Err())
+	}
+	return nil
 }
 
 // Run evaluates n grid points across the worker pool and returns their
@@ -106,33 +197,12 @@ func Stream[T any](ctx context.Context, n int, opts Options, fn func(ctx context
 		return ctx.Err()
 	}
 
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	m := newMerge(ctx, n, emit)
+	defer m.cancel()
 
 	jobs := make(chan int)
 	results := make(chan indexed[T], n)
 	workers := opts.workers(n)
-
-	// Failed points report under the mutex. A ctx-aware point that dies
-	// with context.Canceled only did so because a sibling's failure (or a
-	// failed emit) canceled the sweep, so genuine errors outrank Canceled
-	// ones; within the same class the lowest-index failure is surfaced,
-	// no matter which worker lost the race to cancel.
-	var (
-		errMu    sync.Mutex
-		firstErr *pointError
-	)
-	report := func(idx int, err error) {
-		canceled := errors.Is(err, context.Canceled)
-		errMu.Lock()
-		if firstErr == nil ||
-			(!canceled && errors.Is(firstErr.err, context.Canceled)) ||
-			(canceled == errors.Is(firstErr.err, context.Canceled) && idx < firstErr.idx) {
-			firstErr = &pointError{idx, err}
-		}
-		errMu.Unlock()
-		cancel()
-	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -140,12 +210,12 @@ func Stream[T any](ctx context.Context, n int, opts Options, fn func(ctx context
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				if cctx.Err() != nil {
+				if m.cctx.Err() != nil {
 					return
 				}
-				v, err := fn(cctx, Shard{Index: idx, Seed: ShardSeed(opts.BaseSeed, idx)})
+				v, err := fn(m.cctx, Shard{Index: idx, Seed: ShardSeed(opts.BaseSeed, idx)})
 				if err != nil {
-					report(idx, err)
+					m.fail(idx, err)
 					return
 				}
 				results <- indexed[T]{idx, v}
@@ -158,7 +228,7 @@ func Stream[T any](ctx context.Context, n int, opts Options, fn func(ctx context
 		for i := 0; i < n; i++ {
 			select {
 			case jobs <- i:
-			case <-cctx.Done():
+			case <-m.cctx.Done():
 				return
 			}
 		}
@@ -168,50 +238,8 @@ func Stream[T any](ctx context.Context, n int, opts Options, fn func(ctx context
 		close(results)
 	}()
 
-	// Ordered streaming aggregation: buffer out-of-order completions and
-	// flush each contiguous prefix as it forms.
-	pending := make(map[int]T)
-	next := 0
-	var emitErr error
 	for r := range results {
-		if emitErr != nil {
-			continue // drain; the sweep is already canceled
-		}
-		pending[r.idx] = r.val
-		for {
-			v, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if err := emit(next, v); err != nil {
-				emitErr = fmt.Errorf("sweep: emit point %d: %w", next, err)
-				cancel()
-				break
-			}
-			next++
-		}
+		m.deliver(r.idx, r.val)
 	}
-
-	errMu.Lock()
-	pe := firstErr
-	errMu.Unlock()
-	// An emit failure cancels the sweep, so workers dying afterwards
-	// report consequential context.Canceled errors; prefer the emit error
-	// (the root cause) over those, but never over a genuine point
-	// failure.
-	if pe != nil && (emitErr == nil || !errors.Is(pe.err, context.Canceled)) {
-		return fmt.Errorf("sweep: point %d: %w", pe.idx, pe.err)
-	}
-	if emitErr != nil {
-		return emitErr
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("sweep: %w", err)
-	}
-	if next != n {
-		// Cancelation raced result delivery: some points never ran.
-		return fmt.Errorf("sweep: %w", cctx.Err())
-	}
-	return nil
+	return m.result()
 }
