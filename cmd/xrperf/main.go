@@ -32,7 +32,8 @@
 // mergeable quantile sketches, so a million-user sweep holds kilobytes,
 // not traces.
 // The proc backend shards measurements across `xrperf worker`
-// subprocesses speaking a length-delimited JSON protocol; the net
+// subprocesses speaking a length-prefixed binary frame protocol (after a
+// JSON hello); the net
 // backend dispatches the same protocol over TCP to `xrperf serve` nodes,
 // rejecting nodes whose handshake reports a different protocol or
 // physics version and re-dispatching shards away from crashed nodes.

@@ -18,10 +18,12 @@
 //     independent deterministic seed stream derived from its name.
 //   - Runner abstracts the execution backend for serializable work units
 //     (testbed.Request): PoolRunner fans out across an in-process pool,
-//     ProcRunner shards across worker subprocesses speaking a
-//     length-delimited JSON protocol over pipes, NetRunner dispatches the
-//     same protocol over TCP to a fleet of serve nodes (handshake-
-//     verified, crash-re-dispatched, quarantined with backoff), and
+//     ProcRunner shards across worker subprocesses speaking the
+//     length-prefixed binary frame protocol (after a JSON hello) over
+//     pipes, NetRunner dispatches the same protocol over TCP to a fleet
+//     of serve nodes, both through one worker link whose handshake is
+//     version-verified, time-bounded and cancelable (crashed workers
+//     re-dispatched, failing sources quarantined with backoff), and
 //     CachedRunner memoizes results by content key over any of them —
 //     optionally persisting them through a DiskCache so warm runs across
 //     processes (or a fleet sharing one cache directory) re-measure

@@ -4,19 +4,120 @@ package sweep
 // (subprocesses over pipes) and NetRunner (serve nodes over TCP) manage
 // the same kind of resource — a remote worker that can crash, hang, or
 // babble — so the pieces that make those failures survivable live here
-// once: the error taxonomy separating a broken worker from a request the
+// once: the framed worker link with its bounded, cancelable handshake,
+// the error taxonomy separating a broken worker from a request the
 // worker correctly rejected, the stderr/error-text sanitizer, and the
 // per-source failure tracker that quarantines a repeatedly failing
-// worker source with exponential backoff.
+// worker source with exponential backoff. What stays in each backend is
+// where its streams come from: proc's bounded slot pool of subprocesses,
+// net's weighted nodes and idle connection stacks.
 
 import (
+	"bufio"
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"time"
 	"unicode"
+
+	"repro/internal/testbed"
 )
+
+// link is one framed worker stream — a subprocess's stdio or a TCP
+// connection — past its handshake. It carries the frame I/O and the
+// error wording both backends share; the transports embed it and add
+// only their source's lifecycle.
+type link struct {
+	name string // "worker 3", "node host:port": the prefix of every error
+	rwc  io.ReadWriteCloser
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	// died, when set, describes a broken stream from what the worker
+	// left behind (the proc backend's exit status and stderr tail).
+	died      func(op string, err error) error
+	closeOnce sync.Once
+}
+
+// openLink reads the worker's hello from rwc under both timeout and ctx.
+// Either one closes rwc, which unblocks the read on pipes and sockets
+// alike, so no worker can hold a checkout by staying silent. A version
+// mismatch is a plain error wrapping testbed.ErrVersionMismatch (the
+// same build will mismatch again); a timeout or a broken or garbled
+// hello is a retryable workerFailure; cancelation returns ctx's error.
+// On any failure rwc is closed.
+func openLink(ctx context.Context, name string, rwc io.ReadWriteCloser, died func(op string, err error) error, timeout time.Duration) (*link, error) {
+	l := &link{name: name, rwc: rwc, br: bufio.NewReader(rwc), bw: bufio.NewWriter(rwc), died: died}
+	hctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	stop := context.AfterFunc(hctx, l.destroy)
+	_, err := testbed.ReadHello(l.br)
+	if !stop() {
+		// The stream was closed under the read, whatever it returned.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return nil, &workerFailure{fmt.Errorf("%s: handshake timed out after %s", name, timeout)}
+	}
+	switch {
+	case errors.Is(err, testbed.ErrVersionMismatch):
+		l.destroy()
+		return nil, fmt.Errorf("sweep: %s rejected: %w", name, err)
+	case err != nil:
+		// Describe the failure before closing: closing a subprocess link
+		// kills the worker, which would mask the exit status it left.
+		err = l.ioErr("handshake", err)
+		l.destroy()
+		return nil, err
+	}
+	return l, nil
+}
+
+func (l *link) send(b testbed.WireBatch) error {
+	if err := testbed.WriteBinaryFrame(l.bw, b); err != nil {
+		return l.ioErr("write", err)
+	}
+	if err := l.bw.Flush(); err != nil {
+		return l.ioErr("write", err)
+	}
+	return nil
+}
+
+func (l *link) recv() (testbed.WireBatchResult, error) {
+	var res testbed.WireBatchResult
+	if err := testbed.ReadBinaryFrame(l.br, &res); err != nil {
+		return res, l.ioErr("read", err)
+	}
+	return res, nil
+}
+
+// reject converts a request-level rejection from a healthy worker:
+// deterministic, never retried.
+func (l *link) reject(msg string) error {
+	return fmt.Errorf("%s: %s", l.name, sanitizeLine(msg))
+}
+
+// corrupt reports protocol corruption: the worker is broken, not the
+// request.
+func (l *link) corrupt(format string, args ...any) error {
+	return &workerFailure{fmt.Errorf("%s %s", l.name, fmt.Sprintf(format, args...))}
+}
+
+// destroy closes the stream without blocking (idempotent), unblocking
+// any in-flight read.
+func (l *link) destroy() {
+	l.closeOnce.Do(func() { _ = l.rwc.Close() })
+}
+
+// ioErr builds the retryable failure for a broken stream.
+func (l *link) ioErr(op string, err error) error {
+	if l.died != nil {
+		return &workerFailure{l.died(op, err)}
+	}
+	return &workerFailure{fmt.Errorf("%s: %s failed: %w", l.name, op, err)}
+}
 
 // workerFailure marks an error as a broken worker — a crash, disconnect,
 // or protocol corruption — rather than a request-level rejection the

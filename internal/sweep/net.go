@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -15,14 +14,16 @@ import (
 
 // Defaults for the network backend.
 const (
-	// netConnsPerNode is the default number of concurrent connections a
-	// dispatcher opens per node. A serve node answers one batch at a
-	// time per connection, and the dispatcher cannot see a remote node's
-	// core count, so a small fixed fan-out per node keeps several
-	// batches in flight without assuming anything about the fleet.
+	// netConnsPerNode is the default number of dispatch sessions per
+	// node in each Stream call. A serve node answers one batch at a time
+	// per connection, and the dispatcher cannot see a remote node's core
+	// count, so a small fixed fan-out per node keeps several batches in
+	// flight without assuming anything about the fleet. It is a session
+	// count, not a connection cap: weighted checkout may put more of the
+	// sessions on a fast node, each with its own connection.
 	netConnsPerNode = 4
-	// netDialTimeout bounds connection establishment plus the handshake
-	// read.
+	// netDialTimeout bounds a TCP dial, and separately the hello read of
+	// every worker link, pipe or socket (openLink).
 	netDialTimeout = 5 * time.Second
 	// netKeepAlive is the TCP keepalive period on dispatcher
 	// connections, so a silently vanished node (power loss, network
@@ -66,8 +67,9 @@ func (s staticMembers) Changed(uint64) <-chan struct{} { return nil }
 // running `xrperf serve` (testbed.ServeListener) — over TCP, speaking
 // the same batched frame protocol the proc backend speaks over pipes.
 // Connections are dialed lazily, verified against the node's handshake
-// (protocol + physics version; a mismatched node is rejected with a
-// clear error and never used), kept alive across Run/Stream calls (Close
+// (protocol + physics version, read within netDialTimeout and abandoned
+// at once on cancelation; a mismatched node is rejected with a clear
+// error and never used), kept alive across Run/Stream calls (Close
 // reaps them), and replaced transparently when they break. Requests ride
 // in binary multi-request WireBatch frames with up to Pipeline batches
 // outstanding per connection.
@@ -92,12 +94,11 @@ type NetRunner struct {
 	// connections close, and no new work is dealt to them. Overrides
 	// Nodes.
 	Members MemberSource
-	// ConnsPerNode bounds concurrent connections per node; 0 or
-	// negative means netConnsPerNode.
+	// ConnsPerNode sets the dispatch sessions per node for each Stream
+	// call (nodes × ConnsPerNode in all); 0 or negative means
+	// netConnsPerNode. It does not cap connections per node: weighted
+	// checkout may put more sessions, and so connections, on one node.
 	ConnsPerNode int
-	// DialTimeout bounds dial + handshake per connection attempt; 0
-	// means netDialTimeout.
-	DialTimeout time.Duration
 	// Batch caps requests per frame; 0 means DefaultBatch. Small grids
 	// use smaller batches automatically to keep every connection busy.
 	Batch int
@@ -118,7 +119,6 @@ type NetRunner struct {
 	startErr error
 	closed   bool
 	conns    int
-	timeout  time.Duration
 	rr       atomic.Int64
 
 	// nodesMu guards the live membership view. byAddr keeps every node
@@ -133,7 +133,7 @@ type NetRunner struct {
 
 	liveMu     sync.Mutex
 	liveClosed bool
-	live       map[*netConn]struct{}
+	live       map[*netTransport]struct{}
 }
 
 // netNode is the dispatcher's view of one serve node: its address, its
@@ -159,7 +159,7 @@ type netNode struct {
 	ewmaCPS float64
 
 	mu   sync.Mutex
-	idle []*netConn
+	idle []*netTransport
 }
 
 // estimate returns the node's capacity estimate in cells/s and reports
@@ -209,11 +209,7 @@ func (r *NetRunner) init() error {
 	if r.conns <= 0 {
 		r.conns = netConnsPerNode
 	}
-	r.timeout = r.DialTimeout
-	if r.timeout <= 0 {
-		r.timeout = netDialTimeout
-	}
-	r.live = make(map[*netConn]struct{})
+	r.live = make(map[*netTransport]struct{})
 	r.syncMembers()
 	return nil
 }
@@ -245,7 +241,7 @@ func (r *NetRunner) syncMembers() {
 		nd.left.Store(false)
 		nodes = append(nodes, nd)
 	}
-	var evict []*netConn
+	var evict []*netTransport
 	for a, nd := range r.byAddr {
 		if !want[a] && !nd.left.Load() {
 			nd.left.Store(true)
@@ -257,8 +253,8 @@ func (r *NetRunner) syncMembers() {
 	}
 	r.nodes = nodes
 	r.nodesMu.Unlock()
-	for _, c := range evict {
-		c.destroy()
+	for _, t := range evict {
+		t.retire()
 	}
 }
 
@@ -412,7 +408,7 @@ func (s netSource) acquire(cctx context.Context) (batchTransport, error) {
 			return nil, &terminalError{err: cctx.Err()}
 		}
 	}
-	c, err := node.acquire(cctx, r)
+	t, err := node.acquire(cctx, r)
 	if err != nil {
 		node.busy.Add(-1)
 		if cctx.Err() != nil {
@@ -424,7 +420,7 @@ func (s netSource) acquire(cctx context.Context) (batchTransport, error) {
 		}
 		return nil, err
 	}
-	return &netTransport{r: r, c: c}, nil
+	return t, nil
 }
 
 // pickNode returns the best usable node by weighted checkout — lowest
@@ -512,13 +508,13 @@ func (r *NetRunner) pickNode() (*netNode, time.Duration, error) {
 }
 
 // acquire pops an idle connection or dials a fresh one.
-func (nd *netNode) acquire(ctx context.Context, r *NetRunner) (*netConn, error) {
+func (nd *netNode) acquire(ctx context.Context, r *NetRunner) (*netTransport, error) {
 	nd.mu.Lock()
 	if k := len(nd.idle); k > 0 {
-		c := nd.idle[k-1]
+		t := nd.idle[k-1]
 		nd.idle = nd.idle[:k-1]
 		nd.mu.Unlock()
-		return c, nil
+		return t, nil
 	}
 	nd.mu.Unlock()
 	return r.dialNode(ctx, nd)
@@ -527,55 +523,31 @@ func (nd *netNode) acquire(ctx context.Context, r *NetRunner) (*netConn, error) 
 // dialNode opens, keepalives, and handshakes one connection to a node.
 // Transport failures are retryable worker failures; a version mismatch
 // poisons the node permanently and surfaces as a non-retryable error.
-func (r *NetRunner) dialNode(ctx context.Context, nd *netNode) (*netConn, error) {
-	dctx, cancel := context.WithTimeout(ctx, r.timeout)
+func (r *NetRunner) dialNode(ctx context.Context, nd *netNode) (*netTransport, error) {
+	dctx, cancel := context.WithTimeout(ctx, netDialTimeout)
 	defer cancel()
 	d := net.Dialer{KeepAlive: netKeepAlive}
 	conn, err := d.DialContext(dctx, "tcp", nd.addr)
 	if err != nil {
 		return nil, &workerFailure{fmt.Errorf("dial node %s: %w", nd.addr, err)}
 	}
-	c := &netConn{runner: r, node: nd, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
-	//xrlint:allow determinism -- connection read deadline, operational timeout rather than measurement data
-	_ = conn.SetReadDeadline(time.Now().Add(r.timeout))
-	_, err = testbed.ReadHello(c.br)
-	switch {
-	case errors.Is(err, testbed.ErrVersionMismatch):
-		c.close()
-		perr := fmt.Errorf("sweep: node %s rejected: %w", nd.addr, err)
-		nd.health.poisonWith(perr)
-		return nil, perr
-	case err != nil:
-		c.close()
-		return nil, &workerFailure{fmt.Errorf("node %s: no handshake: %w", nd.addr, err)}
+	l, err := openLink(ctx, "node "+nd.addr, conn, nil, netDialTimeout)
+	if err != nil {
+		if errors.Is(err, testbed.ErrVersionMismatch) {
+			nd.health.poisonWith(err)
+		}
+		return nil, err
 	}
-	_ = conn.SetReadDeadline(time.Time{})
+	t := &netTransport{link: l, r: r, node: nd}
 	r.liveMu.Lock()
 	if r.liveClosed {
 		r.liveMu.Unlock()
-		c.close()
+		t.destroy()
 		return nil, ErrRunnerClosed
 	}
-	r.live[c] = struct{}{}
+	r.live[t] = struct{}{}
 	r.liveMu.Unlock()
-	return c, nil
-}
-
-// release returns a healthy connection to its node's idle stack (or
-// closes it when the runner has been closed, or the node has left the
-// fleet — the drain half of elastic membership: the connection finished
-// its in-flight work, and no new work follows it).
-func (r *NetRunner) release(c *netConn) {
-	r.liveMu.Lock()
-	closed := r.liveClosed
-	r.liveMu.Unlock()
-	if closed || c.node.left.Load() {
-		c.destroy()
-		return
-	}
-	c.node.mu.Lock()
-	c.node.idle = append(c.node.idle, c)
-	c.node.mu.Unlock()
+	return t, nil
 }
 
 // Close closes every connection — idle and in-flight — and marks the
@@ -592,8 +564,8 @@ func (r *NetRunner) Close() error {
 	}
 	r.liveMu.Lock()
 	r.liveClosed = true
-	for c := range r.live {
-		c.close()
+	for t := range r.live {
+		t.destroy()
 	}
 	r.live = nil
 	r.liveMu.Unlock()
@@ -608,52 +580,20 @@ func (r *NetRunner) Close() error {
 	return nil
 }
 
-// netConn is one live dispatcher connection to a serve node,
-// post-handshake.
-type netConn struct {
-	runner    *NetRunner
-	node      *netNode
-	conn      net.Conn
-	br        *bufio.Reader
-	bw        *bufio.Writer
-	closeOnce sync.Once
-}
-
-// netTransport adapts one fleet connection to the batch dispatcher.
+// netTransport is one live dispatcher connection to a serve node,
+// post-handshake. Between checkouts it waits on its node's idle stack.
+// Each checkout ends in exactly one of park, fail or abort, which gives
+// back the node's busy count.
 type netTransport struct {
+	*link
 	r    *NetRunner
-	c    *netConn
-	done sync.Once
-}
-
-// end releases the transport's busy slot exactly once, whichever of
-// park/fail/abort retires it.
-func (t *netTransport) end() {
-	t.done.Do(func() { t.c.node.busy.Add(-1) })
+	node *netNode
 }
 
 // observe implements batchObserver: answered-batch latency feeds the
 // node's capacity weight.
 func (t *netTransport) observe(cells int, elapsed time.Duration) {
-	t.c.node.observe(cells, elapsed)
-}
-
-func (t *netTransport) send(b testbed.WireBatch) error {
-	if err := testbed.WriteBinaryFrame(t.c.bw, b); err != nil {
-		return &workerFailure{fmt.Errorf("node %s: write: %w", t.c.node.addr, err)}
-	}
-	if err := t.c.bw.Flush(); err != nil {
-		return &workerFailure{fmt.Errorf("node %s: write: %w", t.c.node.addr, err)}
-	}
-	return nil
-}
-
-func (t *netTransport) recv() (testbed.WireBatchResult, error) {
-	var res testbed.WireBatchResult
-	if err := testbed.ReadBinaryFrame(t.c.br, &res); err != nil {
-		return res, &workerFailure{fmt.Errorf("node %s died mid-shard (read failed: %v)", t.c.node.addr, err)}
-	}
-	return res, nil
+	t.node.observe(cells, elapsed)
 }
 
 // success implements batchTransport without touching the node's failure
@@ -668,51 +608,43 @@ func (t *netTransport) success() {}
 // benched implements batchBencher: the connection's node is quarantined.
 func (t *netTransport) benched() bool {
 	//xrlint:allow determinism -- quarantine-release comparison clock, never measurement data
-	return t.c.node.health.quarantinedFor(time.Now()) > 0
+	return t.node.health.quarantinedFor(time.Now()) > 0
 }
 
-func (t *netTransport) reject(msg string) error {
-	// Request-level rejection from a healthy node: deterministic, never
-	// retried.
-	return fmt.Errorf("node %s: %s", t.c.node.addr, sanitizeLine(msg))
-}
-
-func (t *netTransport) corrupt(format string, args ...any) error {
-	return &workerFailure{fmt.Errorf("node %s %s", t.c.node.addr, fmt.Sprintf(format, args...))}
-}
-
+// park returns the healthy connection to its node's idle stack, or
+// closes it when the runner has been closed or the node has left the
+// fleet — the drain half of elastic membership: the connection finished
+// its in-flight work, and no new work follows it.
 func (t *netTransport) park() {
-	t.end()
-	t.r.release(t.c)
+	t.node.busy.Add(-1)
+	t.r.liveMu.Lock()
+	closed := t.r.liveClosed
+	t.r.liveMu.Unlock()
+	if closed || t.node.left.Load() {
+		t.retire()
+		return
+	}
+	t.node.mu.Lock()
+	t.node.idle = append(t.node.idle, t)
+	t.node.mu.Unlock()
 }
 
 func (t *netTransport) fail(cause error) {
-	t.end()
+	t.node.busy.Add(-1)
 	//xrlint:allow determinism -- quarantine backoff clock for node health, never measurement data
-	t.c.node.health.failure(time.Now(), cause)
-	t.c.destroy()
+	t.node.health.failure(time.Now(), cause)
+	t.retire()
 }
 
 func (t *netTransport) abort() {
-	t.end()
-	t.c.destroy()
+	t.node.busy.Add(-1)
+	t.retire()
 }
 
-func (t *netTransport) destroy() { t.c.destroy() }
-
-// close shuts the socket (idempotent).
-func (c *netConn) close() {
-	c.closeOnce.Do(func() { _ = c.conn.Close() })
-}
-
-// destroy closes the connection and drops it from the runner's live set.
-func (c *netConn) destroy() {
-	c.close()
-	r := c.runner
-	if r == nil {
-		return
-	}
-	r.liveMu.Lock()
-	delete(r.live, c)
-	r.liveMu.Unlock()
+// retire closes the connection and drops it from the runner's live set.
+func (t *netTransport) retire() {
+	t.destroy()
+	t.r.liveMu.Lock()
+	delete(t.r.live, t)
+	t.r.liveMu.Unlock()
 }

@@ -389,8 +389,8 @@ func TestNetPickNodeCountsInFlightDials(t *testing.T) {
 			t.Fatal(got.err)
 		}
 		tr := got.tr.(*netTransport)
-		if tr.c.node != c.want {
-			t.Fatalf("checkout landed on %s, want %s", tr.c.node.addr, c.want.addr)
+		if tr.node != c.want {
+			t.Fatalf("checkout landed on %s, want %s", tr.node.addr, c.want.addr)
 		}
 		if n := c.want.busy.Load(); n != 1 {
 			t.Fatalf("node %s busy = %d with one checkout, want 1", c.want.addr, n)
@@ -408,7 +408,7 @@ func TestNetPickNodeCountsInFlightDials(t *testing.T) {
 	}
 	dead := ln.Addr().String()
 	ln.Close() // connection refused from here on
-	down := &NetRunner{Nodes: []string{dead}, DialTimeout: time.Second}
+	down := &NetRunner{Nodes: []string{dead}}
 	defer down.Close()
 	if err := down.init(); err != nil {
 		t.Fatal(err)
@@ -478,6 +478,28 @@ func TestNetRunnerCancelMidShard(t *testing.T) {
 	}
 }
 
+// TestNetRunnerCancelDuringHandshake pins a cancelable handshake: a
+// node that accepts connections but never writes its hello must not
+// hold a canceled sweep for the handshake timeout.
+func TestNetRunnerCancelDuringHandshake(t *testing.T) {
+	silent := startRawNode(t, func(conn net.Conn) {
+		_, _ = io.Copy(io.Discard, conn) // never says hello
+	})
+	nr := &NetRunner{Nodes: []string{silent}}
+	defer nr.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(100*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := nr.Run(ctx, testRequests(t, 1))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("canceled sweep returned after %v, want under 1s", elapsed)
+	}
+}
+
 // TestNetRunnerRecoversAfterRequestError checks that a request-level
 // failure reported by a healthy node surfaces once — deterministic
 // rejections are never re-dispatched — and the runner keeps working.
@@ -527,7 +549,7 @@ func TestNetRunnerConfigErrors(t *testing.T) {
 	}
 	dead := ln.Addr().String()
 	ln.Close() // connection refused from here on
-	down := &NetRunner{Nodes: []string{dead}, DialTimeout: time.Second}
+	down := &NetRunner{Nodes: []string{dead}}
 	defer down.Close()
 	if _, err := down.Run(context.Background(), reqs); err == nil || !strings.Contains(err.Error(), "dispatch attempts") {
 		t.Fatalf("unreachable fleet error = %v", err)

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -33,10 +32,11 @@ const procShardAttempts = 2
 // persist across Run/Stream calls (Close reaps them); requests ride in
 // binary multi-request WireBatch frames with up to Pipeline batches
 // outstanding per worker, so a worker never idles between frames. A
-// worker that crashes or is killed mid-batch is replaced and its
-// unanswered batches re-dispatched to a fresh worker
-// (procShardAttempts), surfacing a descriptive error carrying the exit
-// status and stderr tail — never a hang — when the retry fails too.
+// worker that crashes or is killed mid-batch, or never says hello within
+// netDialTimeout, is replaced and its unanswered batches re-dispatched
+// to a fresh worker (procShardAttempts), surfacing a descriptive error
+// carrying the exit status and stderr tail — never a hang — when the
+// retry fails too.
 // Repeated consecutive failures quarantine the spawn source with backoff
 // (sourceHealth), so a persistently crashing worker command cannot
 // hot-loop respawns across calls.
@@ -54,8 +54,6 @@ type ProcRunner struct {
 	// other than xrperf must either implement a worker mode themselves
 	// or call testbed.MaybeServeWorker early in main/TestMain.
 	Command []string
-	// Env appends to the inherited environment of each worker.
-	Env []string
 	// Batch caps requests per frame; 0 means DefaultBatch. Small grids
 	// use smaller batches automatically to keep every worker busy.
 	Batch int
@@ -69,7 +67,7 @@ type ProcRunner struct {
 	closed   bool
 	argv     []string
 	procs    int
-	pool     chan *workerProc
+	pool     chan *procTransport
 	lifeCtx  context.Context
 	stop     context.CancelFunc
 	nextID   atomic.Int64
@@ -102,7 +100,7 @@ func (p *ProcRunner) init() error {
 		p.procs = runtime.GOMAXPROCS(0)
 	}
 	p.lifeCtx, p.stop = context.WithCancel(context.Background())
-	p.pool = make(chan *workerProc, p.procs)
+	p.pool = make(chan *procTransport, p.procs)
 	for i := 0; i < p.procs; i++ {
 		//xrlint:allow lockhygiene -- filling a freshly made buffered channel to its exact capacity; cannot block
 		p.pool <- nil // nil slot: a worker is spawned at checkout
@@ -155,14 +153,15 @@ type procSource struct{ p *ProcRunner }
 // slot is empty. A quarantined spawn source, a spawn failure, and a
 // version mismatch fail the sweep outright (terminalError) — a
 // command that cannot produce a compatible worker will not produce one
-// on retry either — while a handshake that dies mid-read (the worker
-// crashed at startup) consumes a retry attempt like any other crash.
+// on retry either — while a handshake that dies mid-read or times out
+// (the worker crashed or hung at startup) consumes a retry attempt like
+// any other crash.
 func (s procSource) acquire(cctx context.Context) (batchTransport, error) {
 	p := s.p
 	select {
-	case w := <-p.pool:
-		if w != nil {
-			return &procTransport{p: p, w: w}, nil
+	case t := <-p.pool:
+		if t != nil {
+			return t, nil
 		}
 		//xrlint:allow determinism -- quarantine-release comparison clock, never measurement data
 		if wait := p.health.quarantinedFor(time.Now()); wait > 0 {
@@ -177,27 +176,20 @@ func (s procSource) acquire(cctx context.Context) (batchTransport, error) {
 			}
 			return nil, &terminalError{err: err}
 		}
-		nw, err := p.startWorker()
+		t, err := p.startWorker(cctx)
 		if err != nil {
-			p.pool <- nil
-			//xrlint:allow determinism -- quarantine backoff clock for spawn health, never measurement data
-			p.health.failure(time.Now(), err)
-			return nil, &terminalError{err: err}
-		}
-		if err := p.handshake(cctx, nw); err != nil {
-			nw.destroy()
 			p.pool <- nil
 			if cctx.Err() != nil {
 				return nil, &terminalError{err: cctx.Err()}
 			}
-			//xrlint:allow determinism -- quarantine backoff clock for handshake health, never measurement data
+			//xrlint:allow determinism -- quarantine backoff clock for spawn health, never measurement data
 			p.health.failure(time.Now(), err)
-			if errors.Is(err, testbed.ErrVersionMismatch) {
-				return nil, &terminalError{err: err}
+			if retryable(err) {
+				return nil, err
 			}
-			return nil, err
+			return nil, &terminalError{err: err}
 		}
-		return &procTransport{p: p, w: nw}, nil
+		return t, nil
 	case <-cctx.Done():
 		return nil, &terminalError{err: cctx.Err()}
 	}
@@ -217,9 +209,9 @@ func (p *ProcRunner) Close() error {
 	}
 	for i := 0; i < p.procs; i++ {
 		select {
-		case w := <-p.pool:
-			if w != nil {
-				w.destroy()
+		case t := <-p.pool:
+			if t != nil {
+				t.reap()
 			}
 		default:
 		}
@@ -228,159 +220,106 @@ func (p *ProcRunner) Close() error {
 	return nil
 }
 
-// workerProc is one live worker subprocess, post-handshake.
-type workerProc struct {
-	id       int64
-	cmd      *exec.Cmd
-	stdin    io.WriteCloser
-	bw       *bufio.Writer
-	stdout   *bufio.Reader
-	stderr   *tailWriter
-	waitErr  error
-	waitDone chan struct{}
-	killOnce sync.Once
+// procTransport is one live worker subprocess, post-handshake: its
+// stdio link plus the signal that it has been reaped.
+type procTransport struct {
+	*link
+	p      *ProcRunner
+	exited <-chan struct{}
 }
 
-// startWorker spawns one worker subprocess with the protocol marker set.
-func (p *ProcRunner) startWorker() (*workerProc, error) {
-	w := &workerProc{
-		id:       p.nextID.Add(1) - 1,
-		stderr:   &tailWriter{limit: 4096},
-		waitDone: make(chan struct{}),
-	}
+// workerStdio joins a worker's stdout and stdin into one stream. Closing
+// it kills the worker and closes both pipes, so a read blocked on a
+// silent or wedged worker returns at once.
+type workerStdio struct {
+	io.ReadCloser // stdout
+	stdin         io.WriteCloser
+	proc          *os.Process
+}
+
+func (s workerStdio) Write(b []byte) (int, error) { return s.stdin.Write(b) }
+
+func (s workerStdio) Close() error {
+	_ = s.proc.Kill()
+	_ = s.stdin.Close()
+	return s.ReadCloser.Close()
+}
+
+// startWorker spawns one worker subprocess with the protocol marker set
+// and opens its link. Spawn failures are plain errors; a failed
+// handshake has already reaped the worker.
+func (p *ProcRunner) startWorker(ctx context.Context) (*procTransport, error) {
+	id := p.nextID.Add(1) - 1
+	stderr := &tailWriter{limit: 4096}
 	cmd := exec.CommandContext(p.lifeCtx, p.argv[0], p.argv[1:]...)
-	cmd.Env = append(append(os.Environ(), testbed.WorkerEnv+"=1"), p.Env...)
-	cmd.Stderr = w.stderr
+	cmd.Env = append(os.Environ(), testbed.WorkerEnv+"=1")
+	cmd.Stderr = stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		return nil, fmt.Errorf("sweep: worker %d stdin: %w", w.id, err)
+		return nil, fmt.Errorf("sweep: worker %d stdin: %w", id, err)
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, fmt.Errorf("sweep: worker %d stdout: %w", w.id, err)
+		return nil, fmt.Errorf("sweep: worker %d stdout: %w", id, err)
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("sweep: start worker %d (%s): %w", w.id, strings.Join(p.argv, " "), err)
+		return nil, fmt.Errorf("sweep: start worker %d (%s): %w", id, strings.Join(p.argv, " "), err)
 	}
-	w.cmd, w.stdin, w.stdout = cmd, stdin, bufio.NewReader(stdout)
-	w.bw = bufio.NewWriter(stdin)
+	exited := make(chan struct{})
+	var waitErr error
 	go func() {
-		w.waitErr = cmd.Wait()
-		close(w.waitDone)
+		waitErr = cmd.Wait()
+		close(exited)
 	}()
-	return w, nil
-}
-
-// handshake reads the fresh worker's hello and verifies the protocol
-// and physics versions. It runs under the sweep context so cancelation
-// kills the worker instead of wedging on a dead pipe.
-func (p *ProcRunner) handshake(cctx context.Context, w *workerProc) error {
-	done := make(chan error, 1)
-	go func() {
-		_, err := testbed.ReadHello(w.stdout)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if errors.Is(err, testbed.ErrVersionMismatch) {
-			return fmt.Errorf("sweep: worker %d rejected: %w", w.id, err)
+	name := fmt.Sprintf("worker %d", id)
+	// died reports the exit status and stderr tail if the process has
+	// (or promptly) exited, and the raw protocol error otherwise.
+	died := func(op string, err error) error {
+		select {
+		case <-exited:
+			status := "exited cleanly mid-protocol"
+			if waitErr != nil {
+				status = waitErr.Error()
+			}
+			return fmt.Errorf("%s died mid-shard (%s failed; %s)%s", name, op, status, stderr.suffix())
+		case <-time.After(500 * time.Millisecond):
+			return fmt.Errorf("%s protocol %s error: %w%s", name, op, err, stderr.suffix())
 		}
-		if err != nil {
-			return w.ioErr("handshake", err)
-		}
-		return nil
-	case <-cctx.Done():
-		w.kill()
-		return cctx.Err()
 	}
-}
-
-// procTransport adapts one worker subprocess to the batch dispatcher.
-type procTransport struct {
-	p *ProcRunner
-	w *workerProc
-}
-
-func (t *procTransport) send(b testbed.WireBatch) error {
-	if err := testbed.WriteBinaryFrame(t.w.bw, b); err != nil {
-		return t.w.ioErr("write", err)
+	l, err := openLink(ctx, name, workerStdio{stdout, stdin, cmd.Process}, died, netDialTimeout)
+	t := &procTransport{link: l, p: p, exited: exited}
+	if err != nil {
+		t.reap()
+		return nil, err
 	}
-	if err := t.w.bw.Flush(); err != nil {
-		return t.w.ioErr("write", err)
-	}
-	return nil
-}
-
-func (t *procTransport) recv() (testbed.WireBatchResult, error) {
-	var res testbed.WireBatchResult
-	if err := testbed.ReadBinaryFrame(t.w.stdout, &res); err != nil {
-		return res, t.w.ioErr("read", err)
-	}
-	return res, nil
+	return t, nil
 }
 
 func (t *procTransport) success() { t.p.health.success() }
 
-func (t *procTransport) reject(msg string) error {
-	// Request-level rejection from a healthy worker: deterministic,
-	// never retried.
-	return fmt.Errorf("worker %d: %s", t.w.id, sanitizeLine(msg))
-}
-
-func (t *procTransport) corrupt(format string, args ...any) error {
-	// Protocol corruption: the worker is broken, not the request.
-	return &workerFailure{fmt.Errorf("worker %d %s", t.w.id, fmt.Sprintf(format, args...))}
-}
-
-func (t *procTransport) park() { t.p.pool <- t.w }
+func (t *procTransport) park() { t.p.pool <- t }
 
 func (t *procTransport) fail(cause error) {
 	//xrlint:allow determinism -- quarantine backoff clock for worker health, never measurement data
 	t.p.health.failure(time.Now(), cause)
-	t.w.destroy()
+	t.reap()
 	t.p.pool <- nil
 }
 
 func (t *procTransport) abort() {
-	t.w.destroy()
+	t.reap()
 	t.p.pool <- nil
 }
 
-func (t *procTransport) destroy() { t.w.kill() }
-
-// ioErr builds the descriptive error for a broken worker pipe: if the
-// process has (or promptly) exited, report its status and stderr tail;
-// otherwise report the raw protocol error. Either way the worker is
-// broken, so the error is a retryable workerFailure.
-func (w *workerProc) ioErr(op string, err error) error {
-	select {
-	case <-w.waitDone:
-		status := "exited cleanly mid-protocol"
-		if w.waitErr != nil {
-			status = w.waitErr.Error()
-		}
-		return &workerFailure{fmt.Errorf("worker %d died mid-shard (%s failed; %s)%s", w.id, op, status, w.stderr.suffix())}
-	case <-time.After(500 * time.Millisecond):
-		return &workerFailure{fmt.Errorf("worker %d protocol %s error: %w%s", w.id, op, err, w.stderr.suffix())}
+// reap kills the worker and waits (bounded) for it to exit. A worker
+// whose handshake failed has no link: openLink closed its stream, which
+// already killed it.
+func (t *procTransport) reap() {
+	if t.link != nil {
+		t.destroy()
 	}
-}
-
-// kill terminates the worker process and closes its stdin, unblocking
-// any in-flight protocol read.
-func (w *workerProc) kill() {
-	w.killOnce.Do(func() {
-		if w.cmd.Process != nil {
-			_ = w.cmd.Process.Kill()
-		}
-		_ = w.stdin.Close()
-	})
-}
-
-// destroy kills the worker and reaps it (bounded wait).
-func (w *workerProc) destroy() {
-	w.kill()
 	select {
-	case <-w.waitDone:
+	case <-t.exited:
 	case <-time.After(2 * time.Second):
 	}
 }

@@ -94,7 +94,7 @@ func TestPoolRunnerMatchesDirectExecution(t *testing.T) {
 
 // TestProcRunnerMatchesPool pins the tentpole invariant at the runner
 // layer: subprocess workers reproduce the in-process pool bit for bit —
-// the JSON wire encoding round-trips every float exactly.
+// the binary wire codec round-trips every float exactly.
 func TestProcRunnerMatchesPool(t *testing.T) {
 	reqs := testRequests(t, 4)
 	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
@@ -194,6 +194,36 @@ func TestProcRunnerWorkerCrash(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("sweep hung on a crashed worker")
+	}
+}
+
+// TestProcRunnerSilentWorkerFails pins a bounded handshake: a worker
+// that starts but never says hello is given up on after the handshake
+// timeout, once per attempt, with an error naming it — the sweep must
+// fail on its own, without a caller deadline.
+func TestProcRunnerSilentWorkerFails(t *testing.T) {
+	if _, err := exec.LookPath("sleep"); err != nil {
+		t.Skip("sleep not available")
+	}
+	pr := &ProcRunner{Procs: 1, Command: []string{"sleep", "60"}}
+	defer pr.Close()
+
+	done := make(chan error, 1)
+	start := time.Now()
+	// One request is one batch, so the sweep spends exactly its
+	// procShardAttempts on two silent workers.
+	reqs := testRequests(t, 1)[:1]
+	go func() { _, err := pr.Run(context.Background(), reqs); done <- err }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "worker 1: handshake timed out") {
+			t.Fatalf("silent worker error = %v, want the second worker's handshake timeout", err)
+		}
+		if elapsed := time.Since(start); elapsed < procShardAttempts*netDialTimeout {
+			t.Fatalf("gave up after %v, before %d handshake timeouts", elapsed, procShardAttempts)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("sweep hung on a silent worker")
 	}
 }
 

@@ -26,6 +26,7 @@
 // identifying a reconstructible model bundle) — everything any process
 // needs to reproduce an observation bit for bit. Executor runs requests
 // locally; Serve/MaybeServeWorker expose the same execution over a
-// length-delimited JSON protocol on stdin/stdout, which is how `xrperf
-// worker` subprocesses answer the proc sweep backend.
+// length-prefixed binary frame protocol (after a JSON hello) on
+// stdin/stdout, which is how `xrperf worker` subprocesses answer the
+// proc sweep backend.
 package testbed
