@@ -327,21 +327,12 @@ func BenchmarkSweepNet(b *testing.B) {
 
 // BenchmarkSweepNetSkewed runs the grid on a three-node fleet where one
 // node answers through a frame-delaying proxy roughly 10× slower than
-// its peers — the elastic-fleet headline case. With stealing on (the
-// default) the idle fast nodes repark the slow node's queued batches,
-// so the sweep finishes near the fast nodes' pace; the NoSteal variant
-// below pins what the same skew costs under plain weighted dealing.
-// The steal count is reported as a metric so the perf trail shows the
-// mechanism actually fired rather than the fleet just dodging the slow
-// node.
-func BenchmarkSweepNetSkewed(b *testing.B) { benchSweepNetSkewed(b, false) }
-
-// BenchmarkSweepNetSkewedNoSteal is the control: identical fleet and
-// skew, stealing disabled. The gap between this and SweepNetSkewed is
-// the benefit of work stealing on an asymmetric fleet.
-func BenchmarkSweepNetSkewedNoSteal(b *testing.B) { benchSweepNetSkewed(b, true) }
-
-func benchSweepNetSkewed(b *testing.B, noSteal bool) {
+// its peers — the elastic-fleet headline case. Idle lanes steal the slow
+// node's unanswered batches, so the sweep finishes near the fast nodes'
+// pace. The steal count is reported as a metric so the perf trail shows
+// the mechanism actually fired rather than the fleet just dodging the
+// slow node.
+func BenchmarkSweepNetSkewed(b *testing.B) {
 	slow, err := sweep.NewChaosProxy(benchServeNode(b), sweep.ChaosConfig{FrameDelay: 25 * time.Millisecond})
 	if err != nil {
 		b.Fatal(err)
@@ -351,7 +342,6 @@ func benchSweepNetSkewed(b *testing.B, noSteal bool) {
 		Nodes:      []string{slow.Addr(), benchServeNode(b), benchServeNode(b)},
 		Batch:      2,
 		StealAfter: time.Millisecond,
-		NoSteal:    noSteal,
 	}
 	defer nr.Close()
 	benchSweepGrid(b, nr)

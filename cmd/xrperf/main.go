@@ -42,7 +42,7 @@
 // ADDR (a coordinator that `xrperf serve -register` nodes dial to join
 // and leave by disconnecting). Membership may change mid-run — joiners
 // are admitted, leavers drain — and dispatch is capacity-weighted, with
-// idle nodes stealing queued batches from slow ones (-no-steal disables);
+// idle lanes stealing batches that sit unanswered on slow nodes;
 // none of it changes output bytes, because measurements are pure
 // functions of (request, seed). Every backend runs under a memoizing measurement
 // cache, whose counters are reported on stderr. -cache-dir persists
@@ -366,7 +366,7 @@ func printUsage(out io.Writer) {
 	fmt.Fprintln(out, "                               -nodes-file FILE (one address per line, # comments,")
 	fmt.Fprintln(out, "                               reloaded on SIGHUP) | -fleet-register ADDR (listen")
 	fmt.Fprintln(out, "                               for `xrperf serve -register` nodes dialing home);")
-	fmt.Fprintln(out, "                               -no-steal disables work stealing between nodes —")
+	fmt.Fprintln(out, "                               idle lanes steal batches stuck on slow nodes;")
 	fmt.Fprintln(out, "                               membership and stealing never change output bytes")
 }
 

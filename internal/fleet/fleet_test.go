@@ -24,7 +24,6 @@ func TestSpecValidate(t *testing.T) {
 		{"file", Spec{NodesFile: "nodes.txt"}, ""},
 		{"register", Spec{Register: "127.0.0.1:0"}, ""},
 		{"none", Spec{}, "no membership source"},
-		{"none with nosteal", Spec{NoSteal: true}, "no membership source"},
 		{"two", Spec{Nodes: []string{"a:1"}, NodesFile: "nodes.txt"}, "mutually exclusive"},
 		{"three", Spec{Nodes: []string{"a:1"}, NodesFile: "n", Register: "r:1"}, "mutually exclusive"},
 	}
@@ -42,9 +41,6 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if !(Spec{}).Empty() {
 		t.Error("zero Spec not Empty")
-	}
-	if (Spec{NoSteal: true}).Empty() {
-		t.Error("NoSteal Spec reported Empty")
 	}
 }
 

@@ -32,7 +32,7 @@ import (
 // Spec is the serializable fleet description carried by job documents
 // (job.Spec.Fleet) and assembled from the CLI's fleet flags. Exactly one
 // membership source — Nodes, NodesFile, or Register — describes where
-// the workers come from; the remaining fields tune dispatch.
+// the workers come from.
 type Spec struct {
 	// Nodes lists serve-node addresses (host:port) inline: the static
 	// fleet.
@@ -44,15 +44,11 @@ type Spec struct {
 	// coordinator: `xrperf serve -register` nodes dial it to join the
 	// fleet and leave it by disconnecting.
 	Register string `json:"register,omitempty"`
-	// NoSteal disables work stealing, restoring uniform dealing: a batch
-	// committed to a slow node stays there. Stealing never changes
-	// output bytes, only completion time.
-	NoSteal bool `json:"no_steal,omitempty"`
 }
 
 // Empty reports whether the spec configures nothing at all.
 func (s Spec) Empty() bool {
-	return len(s.Nodes) == 0 && s.NodesFile == "" && s.Register == "" && !s.NoSteal
+	return len(s.Nodes) == 0 && s.NodesFile == "" && s.Register == ""
 }
 
 // SourceCount counts the configured membership sources; a usable spec

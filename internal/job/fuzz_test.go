@@ -25,7 +25,7 @@ func FuzzJobSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"spec":{"backend":"net","fleet":{"nodes_file":"/tmp/f","no_steal":true}}}`))
 	f.Add([]byte(`{"spec":{"backend":"net","fleet":{"register":"127.0.0.1:7900"}}}`))
 	f.Add([]byte(`{"spec":{"backend":"net","nodes":["a:1"],"fleet":{"nodes_file":"/tmp/f"}}}`)) // two sources
-	f.Add([]byte(`{"spec":{"backend":"pool","fleet":{"no_steal":true}}}`))                      // fleet without net
+	f.Add([]byte(`{"spec":{"backend":"pool","fleet":{"no_steal":true}}}`))                      // retired key: an inert, valid fleet
 	f.Add([]byte(`{"kind":"population","spec":{"seed":7},"population":{"scenario":"offload","users":12,"frames":5}}`))
 	f.Add([]byte(`{"kind":"population","spec":{"seed":7},"population":{"users":-1}}`))
 	f.Add([]byte(`{"kind":"population","format":"csv","spec":{"seed":7}}`))

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
@@ -37,9 +36,9 @@ type Spec struct {
 	Nodes []string `json:"nodes,omitempty"`
 	// Fleet describes the net backend's worker fleet beyond an inline
 	// node list: a nodes file reloaded on SIGHUP, or a registration
-	// coordinator that `xrperf serve -register` nodes dial into, plus
-	// dispatch tuning (NoSteal). Exactly one membership source — Nodes
-	// (either spelling), NodesFile, or Register — must be set.
+	// coordinator that `xrperf serve -register` nodes dial into. Exactly
+	// one membership source — Nodes (either spelling), NodesFile, or
+	// Register — must be set.
 	Fleet *fleet.Spec `json:"fleet,omitempty"`
 	// Workers sizes the dispatcher-side worker pool (0 = GOMAXPROCS;
 	// output is byte-identical for any value).
@@ -95,14 +94,6 @@ func (s *Spec) RegisterFlags(fs *flag.FlagSet) {
 	})
 	fs.Func("fleet-register", "net backend: coordinator listen address; `xrperf serve -register` nodes dial it to join the fleet and leave by disconnecting", func(v string) error {
 		s.ensureFleet().Register = v
-		return nil
-	})
-	fs.BoolFunc("no-steal", "net backend: disable work stealing between nodes (a batch committed to a slow node stays there; output is identical either way)", func(v string) error {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return err
-		}
-		s.ensureFleet().NoSteal = b
 		return nil
 	})
 	fs.StringVar(&s.CacheDir, "cache-dir", s.CacheDir, "persist measured cells on disk so warm re-runs dispatch nothing (empty = in-memory cache only)")
@@ -193,7 +184,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("job: -nodes is only meaningful with -backend net, have -backend %s", s.backend())
 		}
 		if s.Fleet != nil && !s.Fleet.Empty() {
-			return fmt.Errorf("job: fleet options (-nodes-file, -fleet-register, -no-steal) are only meaningful with -backend net, have -backend %s", s.backend())
+			return fmt.Errorf("job: fleet options (-nodes-file, -fleet-register) are only meaningful with -backend net, have -backend %s", s.backend())
 		}
 	case "net":
 		fl := s.fleetSpec()
@@ -250,7 +241,7 @@ func (s Spec) BuildRunner() (runner *sweep.CachedRunner, cleanup func(), err err
 		if err != nil {
 			return nil, nil, err
 		}
-		nr := &sweep.NetRunner{Members: src, Batch: s.Batch, Pipeline: s.Pipeline, NoSteal: fl.NoSteal}
+		nr := &sweep.NetRunner{Members: src, Batch: s.Batch, Pipeline: s.Pipeline}
 		backend = nr
 		cleanup = func() {
 			_ = nr.Close()

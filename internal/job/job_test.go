@@ -33,7 +33,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			CacheDir:  "/tmp/cells",
 		},
 		{Backend: "proc", Procs: 4, Seed: 42},
-		{Backend: "net", Fleet: &fleet.Spec{NodesFile: "/tmp/nodes", NoSteal: true}, Seed: 1},
+		{Backend: "net", Fleet: &fleet.Spec{NodesFile: "/tmp/nodes"}, Seed: 1},
 		{Backend: "net", Fleet: &fleet.Spec{Register: "127.0.0.1:7900"}, Seed: 2},
 	}
 	for _, want := range specs {
@@ -82,7 +82,7 @@ func TestSpecFlagsMatchJSON(t *testing.T) {
 }
 
 // TestSpecFleetFlagsMatchJSON extends the two-front-doors check to the
-// fleet surface: the -nodes-file/-fleet-register/-no-steal flags build
+// fleet surface: the -nodes-file/-fleet-register flags build
 // the same Spec as the equivalent fleet JSON document.
 func TestSpecFleetFlagsMatchJSON(t *testing.T) {
 	cases := []struct {
@@ -90,8 +90,13 @@ func TestSpecFleetFlagsMatchJSON(t *testing.T) {
 		flags []string
 		wire  string
 	}{
-		{"nodes file with stealing off",
-			[]string{"-backend", "net", "-nodes-file", "/tmp/fleet.txt", "-no-steal", "-seed", "3"},
+		{"nodes file",
+			[]string{"-backend", "net", "-nodes-file", "/tmp/fleet.txt", "-seed", "3"},
+			`{"backend":"net","fleet":{"nodes_file":"/tmp/fleet.txt"},"seed":3}`},
+		// Stealing is no longer switchable; documents written with the
+		// retired key still decode to the same spec.
+		{"retired no_steal key",
+			[]string{"-backend", "net", "-nodes-file", "/tmp/fleet.txt", "-seed", "3"},
 			`{"backend":"net","fleet":{"nodes_file":"/tmp/fleet.txt","no_steal":true},"seed":3}`},
 		{"registration coordinator",
 			[]string{"-backend", "net", "-fleet-register", "127.0.0.1:7900", "-seed", "3"},

@@ -28,10 +28,10 @@ func TestSpecValidateTable(t *testing.T) {
 		{Backend: "net", Nodes: []string{"a:1"}},
 		{Backend: "net", Fleet: &fleet.Spec{Nodes: []string{"a:1"}}},
 		{Backend: "net", Fleet: &fleet.Spec{NodesFile: "/tmp/nodes"}},
-		{Backend: "net", Fleet: &fleet.Spec{Register: "127.0.0.1:0", NoSteal: true}},
+		{Backend: "net", Fleet: &fleet.Spec{Register: "127.0.0.1:0"}},
 		// The flat field and fleet.nodes are the same inline source, not
 		// two competing ones.
-		{Backend: "net", Nodes: []string{"a:1"}, Fleet: &fleet.Spec{Nodes: []string{"b:2"}, NoSteal: true}},
+		{Backend: "net", Nodes: []string{"a:1"}, Fleet: &fleet.Spec{Nodes: []string{"b:2"}}},
 		{Backend: "pool", Fleet: &fleet.Spec{}}, // empty fleet document is inert
 		{Workers: 8, Trials: 9, TrainRows: 10, TestRows: 11},
 		// Paper scale and the work caps themselves are valid.
@@ -53,7 +53,7 @@ func TestSpecValidateTable(t *testing.T) {
 			`job: unknown -backend "teleport" (pool, proc, or net)`},
 		{"net without a fleet", Spec{Backend: "net"},
 			"job: -backend net requires a fleet: -nodes (host:port,...), -nodes-file, or -fleet-register"},
-		{"net with an empty fleet", Spec{Backend: "net", Fleet: &fleet.Spec{NoSteal: true}},
+		{"net with an empty fleet", Spec{Backend: "net", Fleet: &fleet.Spec{}},
 			"job: -backend net requires a fleet: -nodes (host:port,...), -nodes-file, or -fleet-register"},
 		{"nodes without net (pool)", Spec{Backend: "pool", Nodes: []string{"a:1"}},
 			"job: -nodes is only meaningful with -backend net, have -backend pool"},
@@ -62,9 +62,7 @@ func TestSpecValidateTable(t *testing.T) {
 		{"nodes without net (implicit pool)", Spec{Nodes: []string{"a:1"}},
 			"job: -nodes is only meaningful with -backend net, have -backend pool"},
 		{"fleet without net", Spec{Fleet: &fleet.Spec{NodesFile: "/tmp/nodes"}},
-			"job: fleet options (-nodes-file, -fleet-register, -no-steal) are only meaningful with -backend net, have -backend pool"},
-		{"no-steal without net", Spec{Backend: "proc", Fleet: &fleet.Spec{NoSteal: true}},
-			"job: fleet options (-nodes-file, -fleet-register, -no-steal) are only meaningful with -backend net, have -backend proc"},
+			"job: fleet options (-nodes-file, -fleet-register) are only meaningful with -backend net, have -backend pool"},
 		{"two membership sources", Spec{Backend: "net", Nodes: []string{"a:1"}, Fleet: &fleet.Spec{NodesFile: "/tmp/nodes"}},
 			"job: -nodes, -nodes-file, and -fleet-register are mutually exclusive; set exactly one membership source"},
 		{"three membership sources", Spec{Backend: "net", Fleet: &fleet.Spec{Nodes: []string{"a:1"}, NodesFile: "f", Register: "r:1"}},

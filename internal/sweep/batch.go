@@ -44,6 +44,12 @@ const (
 	// DefaultPipeline is the default window of outstanding batches per
 	// worker session.
 	DefaultPipeline = 2
+	// defaultStealAfter is the default age before an idle lane may steal
+	// another session's unanswered batch: long enough that a healthy
+	// worker in steady state loses nothing (a batch is normally answered
+	// in well under this), short enough that one slow worker never gates
+	// a sweep for more than a beat.
+	defaultStealAfter = 50 * time.Millisecond
 )
 
 // batchJob is one batch of contiguous requests on its way through the
@@ -69,7 +75,7 @@ type batchJob struct {
 	claimed atomic.Bool
 }
 
-// terminalError marks an acquire failure that fails the pulled batch —
+// terminalError marks an acquire failure that fails the lane's batch —
 // and therefore the sweep — immediately instead of consuming one of its
 // retry attempts: a quarantined spawn source, a spawn failure, a version
 // mismatch, a fully poisoned fleet, or cancelation.
@@ -162,12 +168,12 @@ type batchConfig struct {
 	// joiners get lanes of their own. spawn is only valid until watch
 	// returns.
 	watch func(stop <-chan struct{}, spawn func(n int))
-	// stealAfter enables work stealing when positive: an idle session
-	// may re-dispatch another session's unstarted batch once it has been
-	// in flight that long. Zero disables stealing (the proc backend:
-	// its transports come from a bounded slot pool, and an idle lane
-	// camping on a transport could hold the slot a blocked acquire
-	// needs).
+	// stealAfter is how long a batch may sit unanswered on one session
+	// before an idle lane re-dispatches it; <=0 means defaultStealAfter.
+	// The thief holds no transport while it waits: it steals first and
+	// checks out a transport of its own afterwards, so a bounded source
+	// (the proc pool) never has a slot held by a lane with nothing to
+	// send.
 	stealAfter time.Duration
 	// onSteal, when set, is called once per successful steal (metrics
 	// and test observability).
@@ -228,12 +234,12 @@ type batchDispatcher struct {
 	remaining atomic.Int64
 
 	// drives registers every live transport session's in-flight window
-	// so idle sessions can steal from loaded ones.
+	// so idle lanes can steal from loaded ones.
 	drivesMu sync.Mutex
 	drives   map[*driveState]struct{}
 }
 
-// finish marks all batches delivered, waking pullers and campers.
+// finish marks all batches delivered, waking idle lanes.
 func (d *batchDispatcher) finish() {
 	d.doneOnce.Do(func() { close(d.queueDone) })
 }
@@ -248,6 +254,9 @@ func runBatches(ctx context.Context, reqs []testbed.Request, cfg batchConfig, em
 	}
 	if cfg.depth <= 0 {
 		cfg.depth = DefaultPipeline
+	}
+	if cfg.stealAfter <= 0 {
+		cfg.stealAfter = defaultStealAfter
 	}
 	m := newMerge(ctx, n, emit)
 	defer m.cancel()
@@ -310,32 +319,39 @@ func runBatches(ctx context.Context, reqs []testbed.Request, cfg batchConfig, em
 	return m.result()
 }
 
-// pull takes the next batch job, or reports done when every batch has
-// been delivered or the sweep canceled. With stealing enabled an empty
-// queue does not block: pull returns (nil, true) so the session checks
-// out a transport anyway and goes poaching — the only way a node that
-// joined after the queue drained can help finish work that was already
-// in flight when it arrived.
-func (d *batchDispatcher) pull() (*batchJob, bool) {
-	select {
-	case j := <-d.queue:
-		return j, true
-	case <-d.queueDone:
-		return nil, false
-	case <-d.m.cctx.Done():
-		return nil, false
-	default:
+// next takes the lane's next batch: a queued one or, once the queue is
+// empty, one stolen from the most loaded session, polling every
+// stealAfter/2 until a batch qualifies. It reports false when every
+// batch has been delivered or the sweep canceled. A lane waiting here
+// holds no transport.
+func (d *batchDispatcher) next() (*batchJob, bool) {
+	wait := d.cfg.stealAfter / 2
+	if wait < time.Millisecond {
+		wait = time.Millisecond
 	}
-	if d.cfg.stealAfter > 0 {
-		return nil, true
-	}
-	select {
-	case j := <-d.queue:
-		return j, true
-	case <-d.queueDone:
-		return nil, false
-	case <-d.m.cctx.Done():
-		return nil, false
+	for {
+		select {
+		case j := <-d.queue:
+			return j, true
+		case <-d.queueDone:
+			return nil, false
+		case <-d.m.cctx.Done():
+			return nil, false
+		default:
+		}
+		//xrlint:allow determinism -- steal age clock for dispatch steering, never measurement data
+		if j := d.steal(time.Now()); j != nil {
+			return j, true
+		}
+		select {
+		case j := <-d.queue:
+			return j, true
+		case <-d.queueDone:
+			return nil, false
+		case <-d.m.cctx.Done():
+			return nil, false
+		case <-time.After(wait):
+		}
 	}
 }
 
@@ -369,12 +385,12 @@ func (d *batchDispatcher) retry(j *batchJob, cause error) {
 	d.requeue(j)
 }
 
-// session is one worker lane: pull a batch (or, in stealing mode, a
-// nil poaching ticket), check out a transport, and drive it until the
-// transport dies or the work runs out.
+// session is one worker lane: take a batch (queued or stolen), check
+// out a transport for it, and drive the transport until it dies or goes
+// idle.
 func (d *batchDispatcher) session() {
 	for {
-		j, ok := d.pull()
+		j, ok := d.next()
 		if !ok {
 			return
 		}
@@ -382,12 +398,6 @@ func (d *batchDispatcher) session() {
 		if err != nil {
 			var te *terminalError
 			if errors.As(err, &te) {
-				if j == nil {
-					// A jobless poacher owes nothing: every batch is on
-					// some other session's drive, and that session will do
-					// the reporting if the fleet is truly gone.
-					return
-				}
 				e := te.err
 				if te.needsIdx {
 					e = noHealthySource(j.off, te.err, j.lastErr)
@@ -396,22 +406,7 @@ func (d *batchDispatcher) session() {
 				return
 			}
 			if errors.Is(err, errStandby) {
-				if j != nil {
-					d.requeue(j)
-				}
-				continue
-			}
-			if j == nil {
-				// No transport and no batch charged: wait a beat before
-				// rechecking the fleet, so a flapping node cannot spin
-				// this lane hot.
-				select {
-				case <-time.After(d.cfg.stealAfter):
-				case <-d.queueDone:
-					return
-				case <-d.m.cctx.Done():
-					return
-				}
+				d.requeue(j)
 				continue
 			}
 			if errors.Is(err, errAllCooling) {
@@ -438,7 +433,7 @@ type inflightEntry struct {
 }
 
 // driveState is one transport session's in-flight window, registered
-// with the dispatcher so idle sessions can steal from it.
+// with the dispatcher so idle lanes can steal from it.
 type driveState struct {
 	mu      sync.Mutex
 	entries []inflightEntry
@@ -484,7 +479,7 @@ func (ds *driveState) pendingOnlyStolen() bool {
 	return true
 }
 
-// steal re-dispatches one batch from the most loaded other session: the
+// steal re-dispatches one batch from the most loaded session: the
 // newest unanswered, unstolen, unclaimed entry at least stealAfter old.
 // A session's head entry is held to a 4× stiffer age bar — its worker
 // is most likely midway through measuring it, and duplicating that
@@ -492,15 +487,12 @@ func (ds *driveState) pendingOnlyStolen() bool {
 // enough to look like a genuine straggler (a slow node whose every
 // in-flight batch is a singleton head is exactly the case stealing
 // exists to rescue). Returns nil when nothing qualifies.
-func (d *batchDispatcher) steal(me *driveState, now time.Time) *batchJob {
+func (d *batchDispatcher) steal(now time.Time) *batchJob {
 	d.drivesMu.Lock()
 	defer d.drivesMu.Unlock()
 	var victim *driveState
 	var best int
 	for ds := range d.drives {
-		if ds == me {
-			continue
-		}
 		ds.mu.Lock()
 		n := len(ds.entries)
 		ds.mu.Unlock()
@@ -661,59 +653,21 @@ send:
 			}
 		}
 		for j == nil {
-			// Fast path: take queued work if immediately available.
-			select {
-			case j = <-d.queue:
-				continue
-			case <-d.queueDone:
-				break send
-			case <-d.m.cctx.Done():
-				break send
-			case rerr = <-recvDone:
-				recvSeen = true
-				break send
-			default:
-			}
-			if outstanding.Load() > 0 {
-				// The window is still working; block until something
-				// changes.
+			if outstanding.Load() == 0 {
+				// Idle: take queued work if there is any, else release
+				// the transport rather than hold it against the queue.
+				// With a bounded source shared by concurrent dispatchers,
+				// the next batch may be in the hands of a lane blocked in
+				// acquire, waiting for exactly this slot. The session
+				// loop steals or waits in next, holding no transport.
 				select {
 				case j = <-d.queue:
-				case <-d.queueDone:
+					continue
+				default:
 					break send
-				case <-d.m.cctx.Done():
-					break send
-				case rerr = <-recvDone:
-					recvSeen = true
-					break send
-				case <-drained:
-					// The window just emptied; re-evaluate idleness.
 				}
-				continue
 			}
-			// Idle: nothing queued and nothing in flight.
-			if d.cfg.stealAfter <= 0 {
-				// Holding the transport against the queue here can
-				// deadlock: with concurrent dispatchers over one shared
-				// bounded source, the next batch may be in the hands of a
-				// session blocked in acquire, waiting for exactly this
-				// slot. Release the transport instead; the session loop
-				// re-acquires when more work arrives.
-				break send
-			}
-			// Stealing enabled — transports are unbounded connections,
-			// so camping here starves no one. Re-dispatch the most loaded
-			// session's freshest unstarted batch, or wait for one to age
-			// past the threshold.
-			//xrlint:allow determinism -- steal age clock for dispatch steering, never measurement data
-			if sj := d.steal(me, time.Now()); sj != nil {
-				j = sj
-				continue
-			}
-			wait := d.cfg.stealAfter / 2
-			if wait < time.Millisecond {
-				wait = time.Millisecond
-			}
+			// The window is still working; block until something changes.
 			select {
 			case j = <-d.queue:
 			case <-d.queueDone:
@@ -723,7 +677,8 @@ send:
 			case rerr = <-recvDone:
 				recvSeen = true
 				break send
-			case <-time.After(wait):
+			case <-drained:
+				// The window just emptied; re-evaluate idleness.
 			}
 		}
 		if j.claimed.Load() {

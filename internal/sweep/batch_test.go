@@ -3,18 +3,22 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/testbed"
 )
 
-// fakeTransport answers every batch it is sent with one item per
-// request whose latency is the request's grid index, and reports itself
-// benched from its first answer on when benchOnAnswer is set.
+// fakeTransport answers every batch it is sent, after delay, with one
+// item per request whose latency is the request's grid index, and
+// reports itself benched from its first answer on when benchOnAnswer is
+// set.
 type fakeTransport struct {
 	benchOnAnswer bool
+	delay         time.Duration
 	sent          chan testbed.WireBatch
 	dead          chan struct{}
 	killOnce      sync.Once
@@ -36,6 +40,13 @@ func (f *fakeTransport) send(b testbed.WireBatch) error {
 func (f *fakeTransport) recv() (testbed.WireBatchResult, error) {
 	select {
 	case b := <-f.sent:
+		if f.delay > 0 {
+			select {
+			case <-time.After(f.delay):
+			case <-f.dead:
+				return testbed.WireBatchResult{}, &workerFailure{errors.New("fake transport destroyed")}
+			}
+		}
 		res := testbed.WireBatchResult{ID: b.ID, Items: make([]testbed.WireItem, len(b.Reqs))}
 		for i := range res.Items {
 			res.Items[i].M.LatencyMs = float64(b.ID + i)
@@ -115,5 +126,89 @@ func TestDriveStopsSendingToBenchedTransport(t *testing.T) {
 	}
 	if n := healthy.sends.Load(); n != int64(len(reqs)-cfg.depth) {
 		t.Fatalf("healthy transport was sent %d batches, want %d", n, len(reqs)-cfg.depth)
+	}
+}
+
+// pooledTransport is a fakeTransport checked out of a bounded pool, the
+// shape of the proc backend's slot pool: park returns it, and a failed
+// or aborted transport is replaced by a fresh one.
+type pooledTransport struct {
+	*fakeTransport
+	pool chan *pooledTransport
+}
+
+func newPooledTransport(pool chan *pooledTransport) *pooledTransport {
+	f := newFakeTransport(false)
+	f.delay = 2 * time.Millisecond
+	return &pooledTransport{fakeTransport: f, pool: pool}
+}
+
+func (p *pooledTransport) park()      { p.pool <- p }
+func (p *pooledTransport) fail(error) { p.abort() }
+func (p *pooledTransport) abort() {
+	p.destroy()
+	p.pool <- newPooledTransport(p.pool)
+}
+
+// boundedSource blocks acquire until the pool has a transport free.
+type boundedSource struct{ pool chan *pooledTransport }
+
+func (s boundedSource) acquire(ctx context.Context) (batchTransport, error) {
+	select {
+	case t := <-s.pool:
+		return t, nil
+	case <-ctx.Done():
+		return nil, &terminalError{err: ctx.Err()}
+	}
+}
+
+// TestConcurrentDispatchersShareBoundedSource pins the dispatcher's
+// one rule: a lane holds no transport while it has no batch to send.
+// Three dispatchers, stealing as every dispatch does, share a source of
+// two transports whose acquire blocks until one is free — concurrent
+// Stream calls on one ProcRunner. A lane idling on a transport would
+// hold the slot another dispatcher's batch waits for, and the round
+// would deadlock.
+func TestConcurrentDispatchersShareBoundedSource(t *testing.T) {
+	reqs := testRequests(t, 1)
+	pool := make(chan *pooledTransport, 2)
+	for i := 0; i < cap(pool); i++ {
+		pool <- newPooledTransport(pool)
+	}
+	cfg := batchConfig{
+		sessions:   2,
+		batch:      1,
+		depth:      2,
+		budget:     1, // no transport ever fails
+		source:     boundedSource{pool},
+		givingUp:   func(j *batchJob) error { return fmt.Errorf("batch %d charged an attempt", j.off) },
+		stealAfter: time.Millisecond,
+	}
+	for round := 0; round < 30; round++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		errs := make([]error, 3)
+		var wg sync.WaitGroup
+		for k := range errs {
+			k := k
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				next := 0
+				errs[k] = runBatches(ctx, reqs, cfg, func(idx int, m testbed.Measurement) error {
+					if idx != next || m.LatencyMs != float64(idx) {
+						return fmt.Errorf("emitted point %d (latency %v), want point %d", idx, m.LatencyMs, next)
+					}
+					next++
+					return nil
+				})
+			}()
+		}
+		wg.Wait()
+		cancel()
+		for k, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d, dispatcher %d: %v", round, k, err)
+			}
+		}
 	}
 }

@@ -89,21 +89,28 @@ func writeNodesFile(t *testing.T, path string, addrs ...string) {
 
 // TestNetRunnerElasticJoinMidSweep pins mid-run admission: a sweep
 // starts on a single slow node, a second node joins through a nodes-file
-// reload while batches are in flight, the joiner picks up real work, and
-// the output stays byte-identical to the pool backend.
+// reload while batches are still queued, the joiner answers real work,
+// and the output stays byte-identical to the pool backend.
 func TestNetRunnerElasticJoinMidSweep(t *testing.T) {
-	reqs := testRequests(t, 4)
+	base := testRequests(t, 4)
+	// 24 batches at Batch:1, three times the slow node's 4×2 window, so
+	// work is still queued when the joiner arrives.
+	var reqs []testbed.Request
+	for i := 0; i < 4; i++ {
+		reqs = append(reqs, base...)
+	}
 	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	slow := slowProxy(t, 15*time.Millisecond)
-	joiner, err := NewChaosProxy(startServeNode(t), ChaosConfig{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer joiner.Close()
+	joinLn := &answerListener{Listener: ln, answered: make(chan struct{})}
+	joiner := serveOn(t, joinLn)
 
 	path, src := nodesFile(t, slow.Addr())
 	nr := &NetRunner{Members: src, Batch: 1, Pipeline: 2}
@@ -123,7 +130,7 @@ func TestNetRunnerElasticJoinMidSweep(t *testing.T) {
 			// First delivery: most of the sweep is still queued on the
 			// slow node. Grow the fleet under it.
 			joined = true
-			writeNodesFile(t, path, slow.Addr(), joiner.Addr())
+			writeNodesFile(t, path, slow.Addr(), joiner)
 			if err := src.Reload(); err != nil {
 				return err
 			}
@@ -136,8 +143,10 @@ func TestNetRunnerElasticJoinMidSweep(t *testing.T) {
 	if next != len(reqs) {
 		t.Fatalf("delivered %d of %d", next, len(reqs))
 	}
-	if joiner.Conns() == 0 {
-		t.Fatal("mid-sweep joiner was never dialed")
+	select {
+	case <-joinLn.answered:
+	default:
+		t.Fatal("mid-sweep joiner never answered a batch")
 	}
 }
 
@@ -203,25 +212,16 @@ func TestNetRunnerSIGHUPDrainsLeaver(t *testing.T) {
 }
 
 // TestNetRunnerStealsFromSlowNode pins the work-stealing path under real
-// asymmetry. In the stealing half the slow node measures but answers
-// nothing until cleanup, so the sweep can finish only if the idle fast
-// node steals every batch the slow one holds; the stolen work must
-// change nothing about the output. In the NoSteal half the slow node
-// answers through a delaying proxy and no batch may move.
+// asymmetry. The slow node measures but answers nothing until cleanup,
+// so the sweep can finish only if the idle fast node steals every batch
+// the slow one holds; the stolen work must change nothing about the
+// output.
 func TestNetRunnerStealsFromSlowNode(t *testing.T) {
 	base := testRequests(t, 4)
 	reqs := append(append([]testbed.Request{}, base...), base...) // 12 batches at Batch:1
 	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	check := func(noSteal bool, got []testbed.Measurement) {
-		t.Helper()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("noSteal=%v: point %d diverged from pool", noSteal, i)
-			}
-		}
 	}
 
 	// The fast node is held too until the slow node has answered a
@@ -257,27 +257,13 @@ func TestNetRunnerStealsFromSlowNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a sweep whose slow node never answers must finish by stealing: %v", err)
 	}
-	check(false, got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("point %d diverged from pool", i)
+		}
+	}
 	if nr.Steals() == 0 {
 		t.Fatal("idle fast node never stole from the slow node")
-	}
-
-	noSteal := &NetRunner{
-		Nodes:        []string{slowProxy(t, 30*time.Millisecond).Addr(), startServeNode(t)},
-		ConnsPerNode: 1,
-		Batch:        1,
-		Pipeline:     4,
-		StealAfter:   2 * time.Millisecond,
-		NoSteal:      true,
-	}
-	t.Cleanup(func() { noSteal.Close() })
-	got, err = noSteal.Run(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(true, got)
-	if noSteal.Steals() != 0 {
-		t.Fatal("NoSteal runner stole anyway")
 	}
 }
 

@@ -29,12 +29,6 @@ const (
 	// connections, so a silently vanished node (power loss, network
 	// partition) surfaces as a read error instead of a wedged socket.
 	netKeepAlive = 30 * time.Second
-	// netStealAfter is the default age before an idle session may steal
-	// another session's unstarted batch: long enough that a healthy
-	// fleet in steady state steals nothing (a batch is normally answered
-	// in well under this), short enough that one slow node never gates a
-	// sweep for more than a beat.
-	netStealAfter = 50 * time.Millisecond
 	// netStandbyPoll bounds how long an empty elastic fleet waits
 	// between membership checks when no change notification arrives.
 	netStandbyPoll = 250 * time.Millisecond
@@ -106,13 +100,10 @@ type NetRunner struct {
 	// means DefaultPipeline.
 	Pipeline int
 	// StealAfter is how long a dispatched batch may sit unanswered
-	// before an idle session re-dispatches it to another node; 0 or
-	// negative means netStealAfter.
+	// before an idle lane re-dispatches it to another node; 0 or
+	// negative means the dispatcher's default (50ms). Output bytes are
+	// identical whatever its value; only completion time differs.
 	StealAfter time.Duration
-	// NoSteal disables work stealing: a batch committed to a slow node
-	// stays there (uniform dealing). Output bytes are identical either
-	// way; only completion time differs.
-	NoSteal bool
 
 	mu       sync.Mutex
 	started  bool
@@ -308,13 +299,6 @@ func (r *NetRunner) Stream(ctx context.Context, reqs []testbed.Request, emit fun
 		// spawns more as members register.
 		sessions = r.conns
 	}
-	stealAfter := r.StealAfter
-	if stealAfter <= 0 {
-		stealAfter = netStealAfter
-	}
-	if r.NoSteal {
-		stealAfter = 0
-	}
 	cfg := batchConfig{
 		sessions: sessions,
 		batch:    r.Batch,
@@ -329,7 +313,7 @@ func (r *NetRunner) Stream(ctx context.Context, reqs []testbed.Request, emit fun
 			return fmt.Errorf("sweep: shard %d failed after %d dispatch attempts across %d node(s): %w",
 				j.off, attempts, len(r.memberView()), last)
 		},
-		stealAfter: stealAfter,
+		stealAfter: r.StealAfter,
 		onSteal:    func() { r.steals.Add(1) },
 	}
 	if elastic {

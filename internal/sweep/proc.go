@@ -36,7 +36,9 @@ const procShardAttempts = 2
 // netDialTimeout, is replaced and its unanswered batches re-dispatched
 // to a fresh worker (procShardAttempts), surfacing a descriptive error
 // carrying the exit status and stderr tail — never a hang — when the
-// retry fails too.
+// retry fails too. A worker that stays alive but stops answering has
+// its unanswered batches stolen by idle lanes, exactly as a slow net
+// node does, so one stalled worker cannot stall the sweep.
 // Repeated consecutive failures quarantine the spawn source with backoff
 // (sourceHealth), so a persistently crashing worker command cannot
 // hot-loop respawns across calls.

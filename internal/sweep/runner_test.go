@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -224,6 +225,48 @@ func TestProcRunnerSilentWorkerFails(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("sweep hung on a silent worker")
+	}
+}
+
+// TestProcRunnerStealsFromStalledWorker pins stealing on the proc
+// backend: the first worker spawned says hello and then never answers,
+// so the sweep finishes only if the healthy worker's lane steals the
+// batches stuck in the stalled worker's window. The stolen work must
+// change nothing about the output.
+func TestProcRunnerStealsFromStalledWorker(t *testing.T) {
+	requireSh(t)
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hello bytes.Buffer
+	if err := testbed.WriteFrame(&hello, testbed.Hello()); err != nil {
+		t.Fatal(err)
+	}
+	// The spawn that wins the mkdir lock passes only its worker's hello,
+	// then holds the pipes open without ever answering; every later
+	// spawn is a plain worker.
+	script := fmt.Sprintf(`if mkdir "$1" 2>/dev/null; then "$0" | head -c %d; exec sleep 600; fi; exec "$0"`, hello.Len())
+	lock := filepath.Join(t.TempDir(), "stalled")
+	base := testRequests(t, 4)
+	reqs := append(append([]testbed.Request{}, base...), base...) // 12 batches at Batch:1
+	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := &ProcRunner{Procs: 2, Batch: 1, Pipeline: 2, Command: []string{"sh", "-c", script, exe, lock}}
+	defer pr.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	got, err := pr.Run(ctx, reqs)
+	if err != nil {
+		t.Fatalf("a sweep whose worker never answers must finish by stealing: %v", err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("point %d diverged from pool", i)
+		}
 	}
 }
 
