@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 
 	"repro/internal/pipeline"
 	"repro/internal/stats"
@@ -45,30 +45,70 @@ func (r *GridResult) ID() string { return "sweep" }
 
 // Render implements Result: one row per grid point plus the aggregate.
 func (r *GridResult) Render() string {
-	var b strings.Builder
-	b.WriteString(r.RenderHeader())
+	b := append([]byte(nil), r.RenderHeader()...)
 	for _, p := range r.Points {
-		b.WriteString(p.RenderRow())
+		b = p.AppendRow(b)
 	}
-	b.WriteString(r.RenderFooter())
-	return b.String()
+	b = append(b, r.RenderFooter()...)
+	return string(b)
 }
 
 // RenderHeader returns the table header lines; with RenderRow and
 // RenderFooter it lets a streaming caller emit the exact bytes of
 // Render incrementally.
-func (r *GridResult) RenderHeader() string {
-	return fmt.Sprintf("sweep — %d-point scenario grid (GT vs fitted models)\n", len(r.Points)) +
+func (r *GridResult) RenderHeader() string { return GridHeader(len(r.Points)) }
+
+// GridHeader returns the header lines of an n-point grid table, which a
+// streaming caller writes before any point is measured.
+func GridHeader(n int) string {
+	return fmt.Sprintf("sweep — %d-point scenario grid (GT vs fitted models)\n", n) +
 		fmt.Sprintf("%-42s %10s %10s %7s %10s %10s %7s\n",
 			"point", "GT(ms)", "model(ms)", "err%", "GT(mJ)", "model(mJ)", "err%")
 }
 
 // RenderRow returns the point's table line.
 func (p GridPoint) RenderRow() string {
-	return fmt.Sprintf("%-42s %10.1f %10.1f %7.2f %10.1f %10.1f %7.2f\n",
-		p.Spec.Label(),
-		p.LatencyGTMs, p.LatencyModelMs, p.LatencyErrPct,
-		p.EnergyGTMJ, p.EnergyModelMJ, p.EnergyErrPct)
+	return string(p.AppendRow(nil))
+}
+
+// labelWidth is the label column's width in runes: labels carry the
+// two-byte ², so the column is padded by rune count, not byte count.
+const labelWidth = 42
+
+// AppendRow appends the point's table line to dst: the label
+// left-aligned in labelWidth runes, then latency and energy as
+// right-aligned fixed-point columns (GT and model at one decimal in ten
+// columns, error percent at two in seven), then a newline. It spells
+// numbers with stats.AppendFixed, whose bytes are fmt's %.<prec>f, and
+// allocates nothing once dst has room for the row.
+func (p GridPoint) AppendRow(dst []byte) []byte {
+	start := len(dst)
+	dst = p.Spec.AppendLabel(dst)
+	dst = appendSpaces(dst, labelWidth-utf8.RuneCount(dst[start:]))
+	dst = appendColumn(dst, 10, p.LatencyGTMs, 1)
+	dst = appendColumn(dst, 10, p.LatencyModelMs, 1)
+	dst = appendColumn(dst, 7, p.LatencyErrPct, 2)
+	dst = appendColumn(dst, 10, p.EnergyGTMJ, 1)
+	dst = appendColumn(dst, 10, p.EnergyModelMJ, 1)
+	dst = appendColumn(dst, 7, p.EnergyErrPct, 2)
+	return append(dst, '\n')
+}
+
+// appendColumn appends a separating space and v at prec decimals,
+// right-aligned in width bytes (a fixed-point spelling is ASCII).
+func appendColumn(dst []byte, width int, v float64, prec int) []byte {
+	var buf [32]byte
+	num := stats.AppendFixed(buf[:0], v, prec)
+	dst = appendSpaces(append(dst, ' '), width-len(num))
+	return append(dst, num...)
+}
+
+// appendSpaces appends n spaces (none when n <= 0).
+func appendSpaces(dst []byte, n int) []byte {
+	for ; n > 0; n-- {
+		dst = append(dst, ' ')
+	}
+	return dst
 }
 
 // RenderFooter returns the aggregate line.

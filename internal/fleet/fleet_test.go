@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -284,6 +285,28 @@ func TestSpecOpenStatic(t *testing.T) {
 	}
 	if _, _, err := (Spec{}).Open(nil); err == nil {
 		t.Fatal("empty spec opened")
+	}
+}
+
+// TestSpecOpenNodesFileLogsMembership pins the nodes file's first
+// membership line, which is logged only once the SIGHUP handler is in
+// place: a script that waits for it may signal the process safely.
+func TestSpecOpenNodesFileLogsMembership(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nodes")
+	if err := os.WriteFile(path, []byte("a:1\nb:2\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	_, cleanup, err := Spec{NodesFile: path}.Open(func(format string, a ...any) {
+		lines = append(lines, fmt.Sprintf(format, a...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	want := "nodes file " + path + ": 2 member(s), reloaded on SIGHUP"
+	if len(lines) != 1 || lines[0] != want {
+		t.Fatalf("Open logged %q, want [%q]", lines, want)
 	}
 }
 

@@ -81,8 +81,8 @@ func (s Spec) Validate() error {
 // Open turns the spec into a live membership source. For NodesFile the
 // file is loaded now and a SIGHUP handler re-reads it until cleanup; for
 // Register the coordinator starts listening now and cleanup shuts it
-// down. logf (optional) receives operational events — registrations,
-// reload failures — never data-path output.
+// down. logf (optional) receives operational events — the nodes file's
+// first membership, registrations, reloads — never data-path output.
 func (s Spec) Open(logf func(format string, args ...any)) (src Source, cleanup func(), err error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
@@ -96,6 +96,12 @@ func (s Spec) Open(logf func(format string, args ...any)) (src Source, cleanup f
 			return nil, nil, err
 		}
 		stop := WatchSIGHUP(fs, logf)
+		if logf != nil {
+			// Logged once the handler is installed: from this line on, a
+			// SIGHUP reloads the file rather than ending the process.
+			addrs, _ := fs.Snapshot()
+			logf("nodes file %s: %d member(s), reloaded on SIGHUP", s.NodesFile, len(addrs))
+		}
 		return fs, stop, nil
 	default:
 		ln, err := net.Listen("tcp", s.Register)

@@ -355,12 +355,13 @@ func runSweepTable(ctx context.Context, suite *experiments.Suite, grid sweep.Gri
 		_, err = fmt.Fprint(out, res.Render())
 		return err
 	}
-	header := (&experiments.GridResult{Points: make([]experiments.GridPoint, grid.Size())}).RenderHeader()
-	if _, err := fmt.Fprint(out, header); err != nil {
+	if _, err := io.WriteString(out, experiments.GridHeader(grid.Size())); err != nil {
 		return err
 	}
+	var row []byte // one buffer for every row: a row is written before the next is spelled
 	res, err := suite.StreamGrid(ctx, grid, func(p experiments.GridPoint) error {
-		_, err := fmt.Fprint(out, p.RenderRow())
+		row = p.AppendRow(row[:0])
+		_, err := out.Write(row)
 		return err
 	})
 	if err != nil {

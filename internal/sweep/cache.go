@@ -43,7 +43,9 @@ func newCacheEntry() *cacheEntry { return &cacheEntry{done: make(chan struct{})}
 // CachedRunner memoizes measurements across calls by content key on top
 // of any backend. In memory the key is the request's binary content,
 // seed included (Request.AppendKey); equal keys mean equal
-// (Request.Fingerprint, Seed). Because a seeded request is a pure
+// (Request.Fingerprint, Seed). Keys are spelled into one reused buffer
+// straight from the caller's requests, so classifying a hit allocates
+// nothing. Because a seeded request is a pure
 // function of that content, serving a repeat from the cache is
 // indistinguishable from re-measuring it: the cache changes how much
 // work runs, never a byte of output. Identical cells requested
@@ -278,8 +280,9 @@ func (w *diskWriter) wait() {
 // the store, and keeps classification of other batches from
 // serializing behind file I/O.
 //
-// Memory keys are each request's binary content (Request.AppendKey),
-// built in one reused buffer, so a hit allocates no key string. The JSON
+// Memory keys are each request's binary content (Request.AppendKey,
+// which reads the request in place), built in one reused buffer, so a
+// hit allocates nothing: no key string, no request copy. The JSON
 // fingerprint that names a cell on disk is computed only for the fresh
 // cells the store is asked about; keys[i] is set for owned cells and
 // fps[i] for the cells whose measurement is written back.
@@ -289,18 +292,33 @@ func (c *CachedRunner) classify(reqs []testbed.Request) (entries []*cacheEntry, 
 	keys = make([]string, n)
 	fps = make([]string, n)
 	owned = make([]bool, n)
+	own := func(i int) {
+		if ownedIdx == nil {
+			// Sized once, at the first owned cell, for every later
+			// request being owned too; a call of all hits sizes nothing.
+			ownedIdx = make([]int, 0, n-i)
+			ownedReqs = make([]testbed.Request, 0, n-i)
+		}
+		ownedIdx = append(ownedIdx, i)
+		ownedReqs = append(ownedReqs, reqs[i])
+	}
 	var pending []int // fresh keys whose disk lookup is still outstanding
 	var buf []byte
 
 	c.mu.Lock()
-	for i, r := range reqs {
+	if len(c.entries) == 0 {
+		// A fresh runner's first grid is all misses: size the map for
+		// it rather than growing it through every doubling.
+		c.entries = make(map[string]*cacheEntry, n)
+	}
+	for i := range reqs {
+		r := &reqs[i]
 		var err error
 		buf, err = r.AppendKey(buf[:0])
 		if err != nil {
 			entries[i] = newCacheEntry()
 			owned[i] = true
-			ownedIdx = append(ownedIdx, i)
-			ownedReqs = append(ownedReqs, r)
+			own(i)
 			c.misses++
 			continue
 		}
@@ -317,8 +335,7 @@ func (c *CachedRunner) classify(reqs []testbed.Request) (entries []*cacheEntry, 
 		if c.disk != nil && persistable(r) {
 			pending = append(pending, i)
 		} else {
-			ownedIdx = append(ownedIdx, i)
-			ownedReqs = append(ownedReqs, r)
+			own(i)
 			c.misses++
 		}
 	}
@@ -348,8 +365,7 @@ func (c *CachedRunner) classify(reqs []testbed.Request) (entries []*cacheEntry, 
 			owned[i] = false
 			continue
 		}
-		ownedIdx = append(ownedIdx, i)
-		ownedReqs = append(ownedReqs, reqs[i])
+		own(i)
 	}
 	return entries, keys, fps, owned, ownedIdx, ownedReqs
 }
@@ -362,7 +378,7 @@ func (c *CachedRunner) classify(reqs []testbed.Request) (entries []*cacheEntry, 
 // such version — persisting them would replay an older binary's model
 // numbers — and they are cheap, noise-free evaluations, so each process
 // recomputes them (still memoized in memory for the runner's lifetime).
-func persistable(r testbed.Request) bool {
+func persistable(r *testbed.Request) bool {
 	return r.Op == "" || r.Op == testbed.OpMeasure
 }
 

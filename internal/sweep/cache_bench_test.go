@@ -12,7 +12,7 @@ import (
 
 // benchGrid builds a seeded measurement grid shaped like a sweep job's:
 // every device, both modes and a run of frame sizes.
-func benchGrid(b *testing.B) []testbed.Request {
+func benchGrid(b testing.TB) []testbed.Request {
 	b.Helper()
 	var reqs []testbed.Request
 	for _, dev := range device.Catalog() {

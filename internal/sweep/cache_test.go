@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -28,5 +29,26 @@ func TestCachedRunnerNonFiniteStaysPrivate(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 4 || st.Hits != 0 || st.Entries != 0 {
 		t.Fatalf("non-finite requests were cached: %+v, want 4 misses / 0 hits / 0 entries", st)
+	}
+}
+
+// TestGridKeysMatchCopyEncoding holds each benchGrid cell's memory
+// key, which AppendKey reads from the request in place, to the binary
+// encoding of a copy with Op normalised.
+func TestGridKeysMatchCopyEncoding(t *testing.T) {
+	var buf []byte
+	for i, r := range benchGrid(t) {
+		c := r
+		c.Op = testbed.OpMeasure
+		want, err := testbed.EncodeBinary(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf, err = r.AppendKey(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("cell %d: AppendKey differs from the copy-encoded key", i)
+		}
 	}
 }

@@ -2,10 +2,12 @@ package sweep
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cnn"
 	"repro/internal/device"
 	"repro/internal/pipeline"
+	"repro/internal/stats"
 )
 
 // Spec is one fully-resolved grid point: the scenario knobs the paper's
@@ -28,12 +30,28 @@ type Spec struct {
 
 // Label renders a compact point identifier for tables and logs.
 func (s Spec) Label() string {
+	var buf [64]byte
+	return string(s.AppendLabel(buf[:0]))
+}
+
+// AppendLabel appends the point's label to dst: device, mode and CNN
+// names, then the frame size in whole pixel² and the effective clock to
+// two significant digits, as "XR1/local/default/500px²/2.4GHz".
+func (s Spec) AppendLabel(dst []byte) []byte {
 	cnnName := s.CNN.Name
 	if cnnName == "" {
 		cnnName = "default"
 	}
-	return fmt.Sprintf("%s/%s/%s/%.0fpx²/%.2gGHz",
-		s.Device.Name, s.Mode, cnnName, s.FrameSizePx2, s.effectiveFreq())
+	dst = append(dst, s.Device.Name...)
+	dst = append(dst, '/')
+	dst = append(dst, s.Mode.String()...)
+	dst = append(dst, '/')
+	dst = append(dst, cnnName...)
+	dst = append(dst, '/')
+	dst = stats.AppendFixed(dst, s.FrameSizePx2, 0)
+	dst = append(dst, "px²/"...)
+	dst = strconv.AppendFloat(dst, s.effectiveFreq(), 'g', 2, 64)
+	return append(dst, "GHz"...)
 }
 
 func (s Spec) effectiveFreq() float64 {

@@ -76,6 +76,22 @@ func benchBatch(b *testing.B) (WireBatch, WireBatchResult) {
 // codecSink keeps benchmarked results alive.
 var codecSink []byte
 
+// BenchmarkRequestAppendKey times one memory-cache key appended into a
+// reused buffer, cycling over a grid batch's cells.
+func BenchmarkRequestAppendKey(b *testing.B) {
+	reqs := gridRequests(b)
+	buf := make([]byte, 0, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = reqs[i%len(reqs)].AppendKey(buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	codecSink = buf
+}
+
 func BenchmarkEncodeBinary(b *testing.B) {
 	batch, result := benchBatch(b)
 	for _, bc := range []struct {

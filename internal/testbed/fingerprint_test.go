@@ -183,22 +183,42 @@ func fuzzRequest(t *testing.T, x, y float64, s string, n int64, shape uint8) Req
 	return req
 }
 
-// FuzzFingerprintJSON is the differential test of the fingerprint
-// appender: for any request, Fingerprint must equal json.Marshal of the
-// normalised request byte for byte, and fail exactly where WireSafe or
-// json.Marshal fails.
-func FuzzFingerprintJSON(f *testing.F) {
+// fuzzRequestSeed is one fuzzRequest input.
+type fuzzRequestSeed struct {
+	x, y  float64
+	s     string
+	n     int64
+	shape uint8
+}
+
+// fuzzRequestSeeds is FuzzFingerprintJSON's seed corpus: floats at
+// JSON's spelling cut-offs and the integer fast path's edges, strings
+// JSON escapes, and every request shape with zero-valued omitempty
+// fields.
+func fuzzRequestSeeds() []fuzzRequestSeed {
 	floats := []float64{
 		0, 1, 600, 0.1, 1e-6, 9.99e-7, 1e21, 9.99e20, math.Copysign(0, -1),
 		1 << 53, 1<<53 + 2, 1<<53 - 1, -(1 << 53), -(1<<53 + 2), -(1<<53 - 1),
 		5e-324, -1.5e-300, 123456789.125, math.NaN(), math.Inf(1), math.Inf(-1),
 	}
 	strs := []string{"XR2", "", "<a&b>", "a\u2028b\u2029", "\x01\t\n\"\\\b\f\r\x7f", "\xff\xfeok\xc3", "\u00e9\u6f22\u5b57"}
+	var seeds []fuzzRequestSeed
 	for i, x := range floats {
-		f.Add(x, floats[(i+1)%len(floats)], strs[i%len(strs)], int64(i*37-300), uint8(i*29))
+		seeds = append(seeds, fuzzRequestSeed{x, floats[(i+1)%len(floats)], strs[i%len(strs)], int64(i*37 - 300), uint8(i * 29)})
 	}
 	for shape := 0; shape < 256; shape += 17 {
-		f.Add(0.0, 0.0, "", int64(0), uint8(shape)) // zero-valued omitempty fields
+		seeds = append(seeds, fuzzRequestSeed{shape: uint8(shape)})
+	}
+	return seeds
+}
+
+// FuzzFingerprintJSON is the differential test of the fingerprint
+// appender: for any request, Fingerprint must equal json.Marshal of the
+// normalised request byte for byte, and fail exactly where WireSafe or
+// json.Marshal fails.
+func FuzzFingerprintJSON(f *testing.F) {
+	for _, sd := range fuzzRequestSeeds() {
+		f.Add(sd.x, sd.y, sd.s, sd.n, sd.shape)
 	}
 	f.Fuzz(func(t *testing.T, x, y float64, s string, n int64, shape uint8) {
 		req := fuzzRequest(t, x, y, s, n, shape)

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -119,23 +120,29 @@ func (r Request) appendFingerprint(dst []byte) ([]byte, error) {
 // binary encoding of every field, Seed included, with Op normalised so
 // "" and OpMeasure share a key. It is the binary twin of
 // (Fingerprint, Seed), walking the same codec plan without formatting
-// a float or quoting a string. It fails exactly where
-// Fingerprint does — requests that are not wire-safe, and non-finite
-// floats, which JSON cannot encode — and equal keys imply equal
-// (Fingerprint, Seed). The converse holds for every value JSON spells
-// uniquely; the rare spellings JSON merges (-0 in an omitempty field,
-// invalid UTF-8) get distinct keys, which costs a cache a duplicate
-// measurement, never a wrong one.
-func (r Request) AppendKey(dst []byte) ([]byte, error) {
+// a float or quoting a string. It reads the request in place — Op, the
+// plan's first field, is written normalised and the walk covers the
+// rest — so a key costs no allocation beyond growing dst. It fails
+// exactly where Fingerprint does — requests that are not wire-safe, and
+// non-finite floats, which JSON cannot encode — leaving dst as it was,
+// and equal keys imply equal (Fingerprint, Seed). The converse holds
+// for every value JSON spells uniquely; the rare spellings JSON merges
+// (-0 in an omitempty field, invalid UTF-8) get distinct keys, which
+// costs a cache a duplicate measurement, never a wrong one.
+func (r *Request) AppendKey(dst []byte) ([]byte, error) {
 	if err := r.WireSafe(); err != nil {
 		return dst, err
 	}
-	c := r
-	c.Op = r.op()
-	rv := reflect.ValueOf(&c).Elem()
-	key, err := binEncoder{finite: true}.append(dst, planFor(rv.Type()), rv)
-	if err != nil {
-		return dst, fmt.Errorf("%w: %v", ErrRequest, err)
+	op := r.op()
+	key := binary.AppendUvarint(dst, uint64(len(op)))
+	key = append(key, op...)
+	rv := reflect.ValueOf(r).Elem()
+	enc := binEncoder{finite: true}
+	var err error
+	for _, f := range planFor(requestType).fields[1:] {
+		if key, err = enc.append(key, f.plan, rv.Field(f.index)); err != nil {
+			return dst, fmt.Errorf("%w: %v", ErrRequest, err)
+		}
 	}
 	return key, nil
 }

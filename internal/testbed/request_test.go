@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,6 +94,70 @@ func TestAppendKeyMatchesFingerprint(t *testing.T) {
 	}
 	if equal < 100 || distinct == 0 {
 		t.Fatalf("generator too narrow or too wide: %d equal pairs, %d distinct", equal, distinct)
+	}
+}
+
+// copyKey is AppendKey's reference spelling: normalise Op on a copy of
+// the request, then encode the whole copy with the key encoder.
+func copyKey(r Request) ([]byte, error) {
+	if err := r.WireSafe(); err != nil {
+		return nil, err
+	}
+	c := r
+	c.Op = r.op()
+	return binEncoder{finite: true}.append(nil, planFor(requestType), reflect.ValueOf(&c).Elem())
+}
+
+// TestAppendKeyMatchesCopyEncoding holds AppendKey, which reads the
+// request in place, to the bytes of encoding a normalised copy, over
+// FuzzFingerprintJSON's seed requests and random draws of every op.
+func TestAppendKeyMatchesCopyEncoding(t *testing.T) {
+	var reqs []Request
+	for _, sd := range fuzzRequestSeeds() {
+		reqs = append(reqs, fuzzRequest(t, sd.x, sd.y, sd.s, sd.n, sd.shape))
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 100; i++ {
+		reqs = append(reqs, randomRequest(t, rng))
+	}
+	keyed := 0
+	for i := range reqs {
+		want, wantErr := copyKey(reqs[i])
+		got, err := reqs[i].AppendKey([]byte("prefix"))
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("request %d: AppendKey error %v, copy-encode error %v", i, err, wantErr)
+		}
+		if err != nil {
+			if string(got) != "prefix" {
+				t.Fatalf("request %d: failed AppendKey changed dst to %q", i, got)
+			}
+			continue
+		}
+		if !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("request %d: AppendKey differs from the copy-encoded key", i)
+		}
+		keyed++
+	}
+	if keyed < len(reqs)/2 {
+		t.Fatalf("only %d of %d requests keyed", keyed, len(reqs))
+	}
+}
+
+// TestAppendKeyAllocs pins a key appended into a buffer with room for it
+// to no allocation: AppendKey reads the request where it lies.
+func TestAppendKeyAllocs(t *testing.T) {
+	req := workerRequest(t, 5)
+	buf, err := req.AppendKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if buf, err = req.AppendKey(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendKey made %.1f allocations, want 0", allocs)
 	}
 }
 
