@@ -19,6 +19,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
+	"repro/internal/sweep/sweeptest"
 	"repro/internal/testbed"
 )
 
@@ -333,7 +334,7 @@ func BenchmarkSweepNet(b *testing.B) {
 // the mechanism actually fired rather than the fleet just dodging the
 // slow node.
 func BenchmarkSweepNetSkewed(b *testing.B) {
-	slow, err := sweep.NewChaosProxy(benchServeNode(b), sweep.ChaosConfig{FrameDelay: 25 * time.Millisecond})
+	slow, err := sweeptest.NewChaosProxy(benchServeNode(b), sweeptest.ChaosConfig{FrameDelay: 25 * time.Millisecond})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/sweep"
+	"repro/internal/sweep/sweeptest"
 )
 
 // startJobServer runs an in-process job server on the pool backend for
@@ -172,7 +173,7 @@ func TestServerFlagErrors(t *testing.T) {
 // third frame arrives (the hello and one batch result pass; the second
 // result is dropped), with no limit on the number of deaths.
 func TestReportByteIdenticalUnderChaos(t *testing.T) {
-	reportUnderChaos(t, sweep.ChaosConfig{CrashAfterFrames: 3, MaxCrashes: -1})
+	reportUnderChaos(t, sweeptest.ChaosConfig{CrashAfterFrames: 3, MaxCrashes: -1})
 }
 
 // TestReportByteIdenticalUnderBoundedChaos is the bounded companion of
@@ -185,7 +186,7 @@ func TestReportByteIdenticalUnderChaos(t *testing.T) {
 // inside each batch's dispatch budget (two attempts per node), so the
 // report must come out whole and byte-identical.
 func TestReportByteIdenticalUnderBoundedChaos(t *testing.T) {
-	reportUnderChaos(t, sweep.ChaosConfig{CrashAfterFrames: 2, MaxCrashes: 3})
+	reportUnderChaos(t, sweeptest.ChaosConfig{CrashAfterFrames: 2, MaxCrashes: 3})
 }
 
 // reportUnderChaos generates the report over a two-node net fleet whose
@@ -194,15 +195,15 @@ func TestReportByteIdenticalUnderBoundedChaos(t *testing.T) {
 // The second node's answers are withheld until that first crash, so the
 // faulty node carries work before the healthy one can drain the report
 // and the fault fires on every run.
-func reportUnderChaos(t *testing.T, cfg sweep.ChaosConfig) {
+func reportUnderChaos(t *testing.T, cfg sweeptest.ChaosConfig) {
 	t.Helper()
 	want := runCLI(t, append([]string{"report", "-workers", "2"}, fastFlags...)...)
-	proxy, err := sweep.NewChaosProxy(startServeNodes(t, 1), cfg)
+	proxy, err := sweeptest.NewChaosProxy(startServeNodes(t, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
-	held, err := sweep.NewChaosProxy(startServeNodes(t, 1), sweep.ChaosConfig{Hold: proxy.Crashed()})
+	held, err := sweeptest.NewChaosProxy(startServeNodes(t, 1), sweeptest.ChaosConfig{Hold: proxy.Crashed()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,9 +226,9 @@ func (r *Report) Render() string {
 // returned.
 func (f *Framework) AnalyzeBatch(ctx context.Context, scs []*pipeline.Scenario, r sweep.Runner) ([]*Report, error) {
 	if r == nil {
-		return sweep.Run(ctx, len(scs), sweep.Options{},
-			func(_ context.Context, sh sweep.Shard) (*Report, error) {
-				return f.Analyze(scs[sh.Index])
+		return sweep.Run(ctx, len(scs), 0,
+			func(_ context.Context, i int) (*Report, error) {
+				return f.Analyze(scs[i])
 			})
 	}
 	if f.provenance == nil {

@@ -296,6 +296,47 @@ func TestStreamAllOrderAndEquivalence(t *testing.T) {
 	}
 }
 
+// failingRunner is a measurement backend whose every batch fails.
+type failingRunner struct{ err error }
+
+func (r failingRunner) Run(context.Context, []testbed.Request) ([]testbed.Measurement, error) {
+	return nil, r.err
+}
+
+func (r failingRunner) Stream(context.Context, []testbed.Request, func(int, testbed.Measurement) error) error {
+	return r.err
+}
+
+// TestRunAllLabelsExperimentErrors pins the error of a failing group:
+// RunAll and StreamAll both report the failing experiment by id, wrap
+// the root cause, and (on one worker) stop at the first experiment that
+// measures — fig4a; the tables and the fit need no backend.
+func TestRunAllLabelsExperimentErrors(t *testing.T) {
+	base := getSuite(t)
+	boom := errors.New("backend down")
+	s := &Suite{
+		Bench: base.Bench, Fitted: base.Fitted,
+		Latency: base.Latency, Energy: base.Energy,
+		Trials: base.Trials, Seed: base.Seed,
+		Workers: 1, Runner: failingRunner{boom},
+	}
+	const want = "experiment fig4a: "
+	if _, err := s.RunAll(); !errors.Is(err, boom) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RunAll err = %v, want %q wrapping %v", err, want, boom)
+	}
+	var emitted []string
+	err := s.StreamAll(context.Background(), func(r Result) error {
+		emitted = append(emitted, r.ID())
+		return nil
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("StreamAll err = %v, want %q wrapping %v", err, want, boom)
+	}
+	if got := strings.Join(emitted, ","); got != "table1,table2,fit" {
+		t.Fatalf("StreamAll emitted %s before failing, want table1,table2,fit", got)
+	}
+}
+
 // TestStreamGridMatchesRunGrid pins the streaming grid API: emitted
 // points arrive in canonical order and match the buffered result
 // exactly.

@@ -245,12 +245,11 @@ func (s *Suite) Fig4e(ctx context.Context) (*Fig4eResult, error) {
 	const updates = 18 // covers the paper's 15–90 ms time axis
 	// The three series are independent discrete-event simulations, so they
 	// run on the sweep engine. The simulation keeps its historical fixed
-	// seeds (1000+index) rather than engine shard seeds so the figure
-	// reproduces the seed repository's trajectories exactly — hence only
-	// the worker count is taken from the suite, not a seed base.
-	series, err := sweep.Run(ctx, len(specs), sweep.Options{Workers: s.Workers},
-		func(_ context.Context, sh sweep.Shard) (AoISeriesResult, error) {
-			spec := specs[sh.Index]
+	// seeds (1000+index) so the figure reproduces the seed repository's
+	// trajectories exactly.
+	series, err := sweep.Run(ctx, len(specs), s.Workers,
+		func(_ context.Context, i int) (AoISeriesResult, error) {
+			spec := specs[i]
 			sen, err := sensors.NewSensor(spec.label, spec.hz, 30)
 			if err != nil {
 				return AoISeriesResult{}, fmt.Errorf("sensor %s: %w", spec.label, err)
@@ -260,7 +259,7 @@ func (s *Suite) Fig4e(ctx context.Context) (*Fig4eResult, error) {
 			if err != nil {
 				return AoISeriesResult{}, fmt.Errorf("model series %s: %w", spec.label, err)
 			}
-			gt, err := cfg.Simulate(updates, 0.02, stats.NewRNG(1000+int64(sh.Index)))
+			gt, err := cfg.Simulate(updates, 0.02, stats.NewRNG(1000+int64(i)))
 			if err != nil {
 				return AoISeriesResult{}, fmt.Errorf("simulate %s: %w", spec.label, err)
 			}

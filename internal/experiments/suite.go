@@ -57,8 +57,9 @@ type Suite struct {
 	Energy energy.Models
 	// Trials is the measurement-averaging count for ground truth.
 	Trials int
-	// Seed is the bench seed; sweep shard seeds derive from it so every
-	// figure is reproducible run-to-run and worker-count-independent.
+	// Seed is the bench seed; every measurement's content-addressed
+	// noise seed derives from it, so every figure is reproducible
+	// run-to-run and worker-count-independent.
 	Seed int64
 	// Workers sizes the sweep worker pool; 0 means GOMAXPROCS. Results
 	// are byte-identical for any worker count.
@@ -290,38 +291,28 @@ func (s *Suite) RunContext(ctx context.Context, id string) (Result, error) {
 	}
 }
 
-// tasks wraps every experiment as a named sweep task. The experiments
-// are mutually independent — they share only read-only suite state (the
-// bench physics, the fitted models) and draw noise from per-experiment
-// seed streams — so the group can run at any parallelism.
-func (s *Suite) tasks() []sweep.Task[Result] {
-	tasks := make([]sweep.Task[Result], 0, len(IDs()))
-	for _, id := range IDs() {
-		id := id
-		tasks = append(tasks, sweep.Task[Result]{
-			Name: id,
-			Run: func(ctx context.Context) (Result, error) {
-				r, err := s.RunContext(ctx, id)
-				if err != nil {
-					return nil, fmt.Errorf("experiment %s: %w", id, err)
-				}
-				return r, nil
-			},
-		})
+// runTask runs experiment IDs()[i] with its error labeled by id. The
+// experiments are mutually independent — they share only read-only
+// suite state (the bench physics, the fitted models) and draw noise from
+// content-addressed seeds — so the group can run at any parallelism.
+func (s *Suite) runTask(ctx context.Context, i int) (Result, error) {
+	id := IDs()[i]
+	r, err := s.RunContext(ctx, id)
+	if err != nil {
+		return nil, fmt.Errorf("experiment %s: %w", id, err)
 	}
-	return tasks
+	return r, nil
 }
 
 // RunAll executes every experiment concurrently across the suite's worker
 // pool and returns the results in paper order. Output is byte-identical
 // for any worker count. Workers bounds each pool level, not their
-// product: the task group runs up to Workers experiments at once and
+// product: the group runs up to Workers experiments at once and
 // each experiment's inner sweep uses its own Workers-sized pool, so the
 // transient goroutine count can reach Workers²; on oversubscribed hosts
 // this costs scheduler time only, never changes a byte of output.
 func (s *Suite) RunAll() ([]Result, error) {
-	return sweep.RunTasks(context.Background(), s.tasks(),
-		sweep.Options{Workers: s.Workers})
+	return sweep.Run(context.Background(), len(IDs()), s.Workers, s.runTask)
 }
 
 // StreamAll executes every experiment concurrently and invokes emit in
@@ -330,6 +321,6 @@ func (s *Suite) RunAll() ([]Result, error) {
 // while later ones are still running. A non-nil error from emit cancels
 // the remaining experiments.
 func (s *Suite) StreamAll(ctx context.Context, emit func(r Result) error) error {
-	return sweep.StreamTasks(ctx, s.tasks(), sweep.Options{Workers: s.Workers},
-		func(_ int, _ string, r Result) error { return emit(r) })
+	return sweep.Stream(ctx, len(IDs()), s.Workers, s.runTask,
+		func(_ int, r Result) error { return emit(r) })
 }

@@ -165,11 +165,34 @@ func TestServerSoakConcurrentClients(t *testing.T) {
 // slowRunner builds a cached runner whose every measurement takes delay,
 // so admission-control behavior can be driven deterministically.
 func slowRunner(delay time.Duration) *sweep.CachedRunner {
-	return sweep.NewCachedRunner(&sweep.ChaosRunner{
-		Backend: &sweep.PoolRunner{Workers: 1},
-		Delay:   delay,
-		Workers: 1,
-	})
+	return sweep.NewCachedRunner(&delayedRunner{exec: testbed.NewExecutor(nil), delay: delay})
+}
+
+// delayedRunner measures one request at a time, sleeping delay before
+// each. The sleep ends early when ctx does, which is the path a server
+// takes when a client disconnects mid-job.
+type delayedRunner struct {
+	exec  *testbed.Executor
+	delay time.Duration
+}
+
+func (r *delayedRunner) measure(reqs []testbed.Request) func(context.Context, int) (testbed.Measurement, error) {
+	return func(ctx context.Context, i int) (testbed.Measurement, error) {
+		select {
+		case <-time.After(r.delay):
+		case <-ctx.Done():
+			return testbed.Measurement{}, ctx.Err()
+		}
+		return r.exec.Do(ctx, reqs[i])
+	}
+}
+
+func (r *delayedRunner) Run(ctx context.Context, reqs []testbed.Request) ([]testbed.Measurement, error) {
+	return sweep.Run(ctx, len(reqs), 1, r.measure(reqs))
+}
+
+func (r *delayedRunner) Stream(ctx context.Context, reqs []testbed.Request, emit func(int, testbed.Measurement) error) error {
+	return sweep.Stream(ctx, len(reqs), 1, r.measure(reqs), emit)
 }
 
 // TestServerBusyRejection pins the 429 path: with one active slot, no

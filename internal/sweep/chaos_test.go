@@ -2,10 +2,9 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"testing"
-	"time"
 
+	"repro/internal/sweep/sweeptest"
 	"repro/internal/testbed"
 )
 
@@ -18,14 +17,14 @@ import (
 // proxy's frame-count crash points land where the per-request tests
 // expect them; the batch-granular kill points get their own tests
 // below.
-func chaosFleet(t *testing.T, cfg ChaosConfig, trials int) (*ChaosProxy, *NetRunner, []testbed.Request, []testbed.Measurement) {
+func chaosFleet(t *testing.T, cfg sweeptest.ChaosConfig, trials int) (*sweeptest.ChaosProxy, *NetRunner, []testbed.Request, []testbed.Measurement) {
 	t.Helper()
 	reqs := testRequests(t, trials)
 	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy, err := NewChaosProxy(startServeNode(t), cfg)
+	proxy, err := sweeptest.NewChaosProxy(startServeNode(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +40,7 @@ func chaosFleet(t *testing.T, cfg ChaosConfig, trials int) (*ChaosProxy, *NetRun
 // socket) must not change a single output byte — its batches
 // re-dispatch to the healthy node.
 func TestChaosNodeDeathByteIdentical(t *testing.T) {
-	proxy, nr, reqs, want := chaosFleet(t, ChaosConfig{
+	proxy, nr, reqs, want := chaosFleet(t, sweeptest.ChaosConfig{
 		CrashAfterFrames: 2, // hello through, die on the first response
 		MaxCrashes:       -1,
 	}, 3)
@@ -65,7 +64,7 @@ func TestChaosNodeDeathByteIdentical(t *testing.T) {
 // clean close. The shard must re-dispatch and the output stay
 // byte-identical.
 func TestChaosMidFrameDisconnectByteIdentical(t *testing.T) {
-	proxy, nr, reqs, want := chaosFleet(t, ChaosConfig{
+	proxy, nr, reqs, want := chaosFleet(t, sweeptest.ChaosConfig{
 		CrashAfterFrames: 2, // hello, then die inside the first response
 		CrashMidFrame:    true,
 		MaxCrashes:       1,
@@ -98,7 +97,7 @@ func TestChaosMidFrameDisconnectByteIdentical(t *testing.T) {
 // fleet stops dialing it instead of paying a failed attempt per shard.
 // Output stays byte-identical throughout.
 func TestChaosSlowNodeQuarantine(t *testing.T) {
-	proxy, nr, reqs, want := chaosFleet(t, ChaosConfig{
+	proxy, nr, reqs, want := chaosFleet(t, sweeptest.ChaosConfig{
 		CrashAfterFrames: 1, // swallow the hello itself
 		MaxCrashes:       -1,
 	}, 3)
@@ -122,14 +121,14 @@ func TestChaosSlowNodeQuarantine(t *testing.T) {
 // chaosSingleNode builds a single-node fleet entirely behind the proxy
 // with multi-request batches, so every crash point lands relative to
 // batch frames and every retry must come back through the proxy.
-func chaosSingleNode(t *testing.T, cfg ChaosConfig) (*ChaosProxy, *NetRunner, []testbed.Request, []testbed.Measurement) {
+func chaosSingleNode(t *testing.T, cfg sweeptest.ChaosConfig) (*sweeptest.ChaosProxy, *NetRunner, []testbed.Request, []testbed.Measurement) {
 	t.Helper()
 	reqs := testRequests(t, 3)
 	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy, err := NewChaosProxy(startServeNode(t), cfg)
+	proxy, err := sweeptest.NewChaosProxy(startServeNode(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func chaosSingleNode(t *testing.T, cfg ChaosConfig) (*ChaosProxy, *NetRunner, []
 // orphaned batch re-dispatches on a fresh connection, and the output
 // stays byte-identical.
 func TestChaosBatchBoundaryKill(t *testing.T) {
-	proxy, nr, reqs, want := chaosSingleNode(t, ChaosConfig{
+	proxy, nr, reqs, want := chaosSingleNode(t, sweeptest.ChaosConfig{
 		CrashAfterFrames: 3, // hello + one full batch result, then death
 		MaxCrashes:       1,
 	})
@@ -169,7 +168,7 @@ func TestChaosBatchBoundaryKill(t *testing.T) {
 // inside it. The whole batch re-dispatches — partial frames deliver
 // nothing — and the output stays byte-identical.
 func TestChaosMidBatchCut(t *testing.T) {
-	proxy, nr, reqs, want := chaosSingleNode(t, ChaosConfig{
+	proxy, nr, reqs, want := chaosSingleNode(t, sweeptest.ChaosConfig{
 		CrashAfterFrames: 2, // hello, then die inside the first batch result
 		CrashMidFrame:    true,
 		MaxCrashes:       1,
@@ -205,7 +204,7 @@ func TestChaosProxyPassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy, err := NewChaosProxy(startServeNode(t), ChaosConfig{})
+	proxy, err := sweeptest.NewChaosProxy(startServeNode(t), sweeptest.ChaosConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,51 +222,5 @@ func TestChaosProxyPassthrough(t *testing.T) {
 	}
 	if proxy.Crashes() != 0 {
 		t.Fatalf("passthrough proxy crashed %d connections", proxy.Crashes())
-	}
-}
-
-// TestChaosRunnerMatchesBackend pins the Runner-level injector: with no
-// faults it reproduces its backend exactly, with an injected per-shard
-// failure it surfaces that error (lowest index wins), and its delays are
-// context-aware so cancelation aborts promptly.
-func TestChaosRunnerMatchesBackend(t *testing.T) {
-	reqs := testRequests(t, 3)
-	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cr := &ChaosRunner{Backend: &PoolRunner{Workers: 2}, Workers: 2}
-	got, err := cr.Run(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("point %d diverges through the fault-free chaos runner", i)
-		}
-	}
-
-	boom := errors.New("injected shard failure")
-	cr = &ChaosRunner{Backend: &PoolRunner{Workers: 2}, FailIdx: map[int]error{2: boom}, Workers: 2}
-	if _, err := cr.Run(context.Background(), reqs); !errors.Is(err, boom) {
-		t.Fatalf("injected failure did not surface: %v", err)
-	}
-
-	cr = &ChaosRunner{Backend: &PoolRunner{Workers: 2}, Delay: time.Minute, Workers: 2}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := cr.Run(ctx, reqs)
-		done <- err
-	}()
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("canceled chaos run returned %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("canceled chaos run did not return promptly")
 	}
 }

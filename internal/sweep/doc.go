@@ -3,19 +3,17 @@
 // scenario points — device × CNN × inference mode × resolution × clock —
 // and every point is a pure function of its configuration plus a
 // deterministic noise seed. The engine fans such grids out across a
-// worker pool with context cancelation, per-shard deterministic seeding,
-// early error propagation, and streaming aggregation that delivers
-// results in grid order despite out-of-order completion.
+// worker pool with context cancelation, early error propagation, and
+// streaming aggregation that delivers results in grid order despite
+// out-of-order completion.
 //
-// Three layers build on the core Run/Stream primitives:
+// The one primitive is Stream, with Run as its collecting twin: fn(ctx,
+// i) evaluates point i and emit receives results in index order. Two
+// layers build on it:
 //
 //   - Grid/Spec enumerate cartesian scenario grids in a canonical
-//     row-major order, so point indices — and therefore shard seeds —
-//     are stable for a given grid shape.
-//   - Task/RunTasks/StreamTasks group heterogeneous named units of work
-//     (e.g. the full set of paper experiments) under one pool with the
-//     same ordered-streaming guarantees; TaskSeed gives each unit an
-//     independent deterministic seed stream derived from its name.
+//     row-major order, so point indices are stable for a given grid
+//     shape.
 //   - Runner abstracts the execution backend for serializable work units
 //     (testbed.Request): PoolRunner fans out across an in-process pool,
 //     ProcRunner shards across worker subprocesses speaking the
@@ -30,10 +28,13 @@
 //     nothing — all with identical ordering, error, and byte-for-byte
 //     determinism guarantees.
 //
-// Determinism contract: a point's seed depends only on (base seed, point
-// index) — or, for task groups, (base seed, task name); measurement
-// requests carry content-addressed seeds of their own — never on worker
-// identity, completion order, or which backend ran the point, so a
-// sweep's output is byte-identical whether it runs on one worker, on
-// GOMAXPROCS workers, across subprocesses, or across machines.
+// Determinism contract: the engine hands fn nothing but the point's
+// index, so a point's result may depend only on its own inputs — never
+// on worker identity, completion order, or which backend ran it.
+// Measurement requests carry content-addressed seeds of their own
+// (testbed.Request.ContentSeed), and callers that fan one seed out over
+// indexed units derive them with ShardSeed(base, index). A sweep's
+// output is therefore byte-identical whether it runs on one worker, on
+// GOMAXPROCS workers, across subprocesses, or across machines. Test
+// harnesses for the backends live in package sweeptest.
 package sweep

@@ -17,14 +17,15 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/sweep/sweeptest"
 	"repro/internal/testbed"
 )
 
 // slowProxy fronts a real serve node with a frame-delaying chaos proxy,
 // making the node's answers slow without making them wrong.
-func slowProxy(t *testing.T, delay time.Duration) *ChaosProxy {
+func slowProxy(t *testing.T, delay time.Duration) *sweeptest.ChaosProxy {
 	t.Helper()
-	proxy, err := NewChaosProxy(startServeNode(t), ChaosConfig{FrameDelay: delay})
+	proxy, err := sweeptest.NewChaosProxy(startServeNode(t), sweeptest.ChaosConfig{FrameDelay: delay})
 	if err != nil {
 		t.Fatal(err)
 	}

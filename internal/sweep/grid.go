@@ -90,8 +90,8 @@ func (s Spec) Scenario(extra ...pipeline.Option) (*pipeline.Scenario, error) {
 
 // Grid is a cartesian scenario grid: the product of every non-empty
 // dimension, enumerated in row-major order (devices outermost, CPU
-// frequencies innermost) so point indices — and therefore shard seeds —
-// are stable for a given grid shape.
+// frequencies innermost) so point indices are stable for a given grid
+// shape.
 type Grid struct {
 	// Devices is the device axis (required).
 	Devices []device.Device

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sweep/sweeptest"
 	"repro/internal/testbed"
 )
 
@@ -61,7 +62,7 @@ func startGatedServeNode(t *testing.T, gate <-chan struct{}) string {
 // gateNode fronts the node at addr with startGatedServeNode's proxy.
 func gateNode(t *testing.T, addr string, gate <-chan struct{}) string {
 	t.Helper()
-	proxy, err := NewChaosProxy(addr, ChaosConfig{Hold: gate})
+	proxy, err := sweeptest.NewChaosProxy(addr, sweeptest.ChaosConfig{Hold: gate})
 	if err != nil {
 		t.Fatal(err)
 	}

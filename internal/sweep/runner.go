@@ -77,8 +77,8 @@ func (p *PoolRunner) Run(ctx context.Context, reqs []testbed.Request) ([]testbed
 // (session blocks) abort mid-run instead of finishing after a cancel.
 func (p *PoolRunner) Stream(ctx context.Context, reqs []testbed.Request, emit func(idx int, m testbed.Measurement) error) error {
 	exec := p.executor()
-	return Stream(ctx, len(reqs), Options{Workers: p.Workers},
-		func(sctx context.Context, sh Shard) (testbed.Measurement, error) {
-			return exec.Do(sctx, reqs[sh.Index])
+	return Stream(ctx, len(reqs), p.Workers,
+		func(sctx context.Context, i int) (testbed.Measurement, error) {
+			return exec.Do(sctx, reqs[i])
 		}, emit)
 }

@@ -23,10 +23,48 @@ import (
 )
 
 // TestMain lets the proc backend re-execute this test binary as a
-// measurement worker instead of re-running the test suite.
+// measurement worker instead of re-running the test suite. After a
+// passing run it fails the binary if any goroutine running this
+// package's code outlives the tests: every dispatcher, link and pool
+// must be gone once its sweep has returned and its runner is closed.
 func TestMain(m *testing.M) {
 	testbed.MaybeServeWorker()
-	os.Exit(m.Run())
+	code := m.Run()
+	if code == 0 {
+		if leaked := leakedGoroutines(5 * time.Second); leaked != "" {
+			fmt.Fprintf(os.Stderr, "goroutines of package sweep still running after the tests:\n\n%s\n", leaked)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+// leakedGoroutines waits up to wait for every goroutine with a frame in
+// package sweep, other than TestMain's own, to exit, and returns the
+// stacks of any that remain.
+func leakedGoroutines(wait time.Duration) string {
+	deadline := time.Now().Add(wait)
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		for n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			n = runtime.Stack(buf, true)
+		}
+		var leaked []string
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if strings.Contains(g, "repro/internal/sweep.") && !strings.Contains(g, "repro/internal/sweep.TestMain(") {
+				leaked = append(leaked, g)
+			}
+		}
+		if len(leaked) == 0 {
+			return ""
+		}
+		if time.Now().After(deadline) {
+			return strings.Join(leaked, "\n\n")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // testRequests builds a deterministic batch of seeded measurement

@@ -14,39 +14,11 @@ var (
 	ErrBadGrid = errors.New("sweep: negative grid size")
 )
 
-// Shard identifies one grid point handed to a worker.
-type Shard struct {
-	// Index is the point's position in grid order (0-based).
-	Index int
-	// Seed is the point's deterministic RNG seed, derived from the
-	// engine's base seed and Index only.
-	Seed int64
-}
-
-// Options configures an engine run.
-type Options struct {
-	// Workers is the pool size; 0 or negative means GOMAXPROCS. The
-	// pool never exceeds the grid size.
-	Workers int
-	// BaseSeed is mixed into every shard seed. Two runs with the same
-	// base seed and grid produce identical results.
-	BaseSeed int64
-}
-
-func (o Options) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
 // ShardSeed derives the deterministic seed of grid point idx from base
 // using a SplitMix64 finalizer, so adjacent indices land on statistically
-// independent streams.
+// independent streams. The engine itself hands out no seeds; callers
+// that fan a seed out over indexed units (scenario cohorts) derive them
+// here.
 func ShardSeed(base int64, idx int) int64 {
 	z := uint64(base) + 0x9e3779b97f4a7c15*uint64(idx+1)
 	z ^= z >> 30
@@ -164,16 +136,17 @@ func (m *merge[T]) result() error {
 	return nil
 }
 
-// Run evaluates n grid points across the worker pool and returns their
-// results in grid order. fn receives a canceled context as soon as any
+// Run evaluates n grid points across a pool of workers and returns their
+// results in grid order. Workers of 0 or less means GOMAXPROCS, and the
+// pool never exceeds n. fn receives a canceled context as soon as any
 // point fails or the caller's context ends; the first (lowest-index)
 // point error is returned. A zero-size grid returns an empty slice.
-func Run[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, sh Shard) (T, error)) ([]T, error) {
+func Run[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadGrid, n)
 	}
 	out := make([]T, 0, n)
-	err := Stream(ctx, n, opts, fn, func(_ int, v T) error {
+	err := Stream(ctx, n, workers, fn, func(_ int, v T) error {
 		out = append(out, v)
 		return nil
 	})
@@ -183,13 +156,13 @@ func Run[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 	return out, nil
 }
 
-// Stream evaluates n grid points across the worker pool and invokes emit
-// on the caller's goroutine in strict grid order, as soon as each prefix
-// of the grid completes — point k is emitted the moment points 0..k are
-// all done, even while later points are still in flight. Results that
-// finish out of order are buffered until their turn. A non-nil error
-// from emit cancels the sweep and is returned.
-func Stream[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, sh Shard) (T, error), emit func(idx int, v T) error) error {
+// Stream evaluates n grid points across a pool of workers (sized as in
+// Run) and invokes emit on the caller's goroutine in strict grid order,
+// as soon as each prefix of the grid completes — point k is emitted the
+// moment points 0..k are all done, even while later points are still in
+// flight. Results that finish out of order are buffered until their
+// turn. A non-nil error from emit cancels the sweep and is returned.
+func Stream[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error), emit func(idx int, v T) error) error {
 	if n < 0 {
 		return fmt.Errorf("%w: %d", ErrBadGrid, n)
 	}
@@ -202,7 +175,12 @@ func Stream[T any](ctx context.Context, n int, opts Options, fn func(ctx context
 
 	jobs := make(chan int)
 	results := make(chan indexed[T], n)
-	workers := opts.workers(n)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -213,7 +191,7 @@ func Stream[T any](ctx context.Context, n int, opts Options, fn func(ctx context
 				if m.cctx.Err() != nil {
 					return
 				}
-				v, err := fn(m.cctx, Shard{Index: idx, Seed: ShardSeed(opts.BaseSeed, idx)})
+				v, err := fn(m.cctx, idx)
 				if err != nil {
 					m.fail(idx, err)
 					return

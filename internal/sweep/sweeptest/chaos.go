@@ -1,9 +1,10 @@
-package sweep
+// Package sweeptest holds test harnesses for the sweep backends. It
+// imports only testbed, never sweep, so sweep's own in-package tests can
+// use it as well as the server and CLI suites.
+package sweeptest
 
 import (
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,18 +15,12 @@ import (
 	"repro/internal/testbed"
 )
 
-// This file is the chaos test harness: fault injection at the two layers
-// distributed sweeps actually fail at. ChaosProxy sits on the wire in
-// front of a real serve node and corrupts the transport — delayed
-// frames, connections killed after N frames, half-written frames — so
-// tests can pin that the dispatcher's re-dispatch and quarantine
-// machinery preserves byte-identical output under node death and
-// mid-stream disconnect. ChaosRunner sits at the Runner interface and
-// injects per-shard latency and failures, so queueing and cancelation
-// behavior (a server's admission control, a client disconnect mid-job)
-// can be driven deterministically without a slow backend. Both live in
-// the package proper, not a _test file, because the server and CLI test
-// suites reuse them.
+// This file is the chaos harness: fault injection on the wire, where
+// distributed sweeps actually fail. ChaosProxy sits in front of a real
+// serve node and corrupts the transport — delayed frames, connections
+// killed after N frames, half-written frames — so tests can pin that the
+// dispatcher's re-dispatch and quarantine machinery preserves
+// byte-identical output under node death and mid-stream disconnect.
 
 // ChaosConfig parameterizes injected transport faults.
 type ChaosConfig struct {
@@ -76,7 +71,7 @@ type ChaosProxy struct {
 func NewChaosProxy(target string, cfg ChaosConfig) (*ChaosProxy, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("sweep: chaos proxy listen: %w", err)
+		return nil, fmt.Errorf("sweeptest: chaos proxy listen: %w", err)
 	}
 	p := &ChaosProxy{cfg: cfg, ln: ln, crashed: make(chan struct{}), done: make(chan struct{}), live: make(map[net.Conn]struct{})}
 	budget := int64(cfg.MaxCrashes)
@@ -219,59 +214,4 @@ func (p *ChaosProxy) proxy(client net.Conn, target string) {
 			return
 		}
 	}
-}
-
-// ChaosRunner wraps a backend Runner with per-shard fault injection: a
-// fixed delay before every measurement (making fast synthetic jobs slow
-// enough to queue behind, cancel mid-flight, or time out
-// deterministically) and forced errors on chosen shard indices. Delays
-// are context-aware, so cancelation aborts a delayed shard immediately —
-// which is exactly the ctx-first path a server relies on when a client
-// disconnects.
-type ChaosRunner struct {
-	// Backend executes the shards that survive injection. Required.
-	Backend Runner
-	// Delay is the pre-dispatch sleep per shard (context-aware).
-	Delay time.Duration
-	// FailIdx maps shard indices to injected errors.
-	FailIdx map[int]error
-	// Workers bounds shard concurrency (0 = GOMAXPROCS).
-	Workers int
-}
-
-// Run implements Runner.
-func (r *ChaosRunner) Run(ctx context.Context, reqs []testbed.Request) ([]testbed.Measurement, error) {
-	return collectStream(ctx, len(reqs), func(ctx context.Context, emit func(int, testbed.Measurement) error) error {
-		return r.Stream(ctx, reqs, emit)
-	})
-}
-
-// Stream implements Runner with the engine's usual ordered-prefix and
-// lowest-index error semantics.
-func (r *ChaosRunner) Stream(ctx context.Context, reqs []testbed.Request, emit func(idx int, m testbed.Measurement) error) error {
-	if r.Backend == nil {
-		return errors.New("sweep: chaos runner needs a backend")
-	}
-	n := len(reqs)
-	if n == 0 {
-		return ctx.Err()
-	}
-	return Stream(ctx, n, Options{Workers: r.Workers},
-		func(fctx context.Context, sh Shard) (testbed.Measurement, error) {
-			if r.Delay > 0 {
-				select {
-				case <-time.After(r.Delay):
-				case <-fctx.Done():
-					return testbed.Measurement{}, fctx.Err()
-				}
-			}
-			if err := r.FailIdx[sh.Index]; err != nil {
-				return testbed.Measurement{}, err
-			}
-			ms, err := r.Backend.Run(fctx, reqs[sh.Index:sh.Index+1])
-			if err != nil {
-				return testbed.Measurement{}, err
-			}
-			return ms[0], nil
-		}, emit)
 }

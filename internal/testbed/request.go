@@ -305,35 +305,13 @@ func (e *Executor) Do(ctx context.Context, req Request) (Measurement, error) {
 
 // DoBatch executes a batch of requests sequentially and reports each
 // outcome in a WireItem — request-level failures are carried per item,
-// never failing the batch — after resolving every distinct FitConfig in
-// the batch exactly once. The per-batch prefetch means analyze-heavy
-// batches look up the fit table once per distinct config instead of
-// once per cell; the memoized table still backs it, so a config refits
-// at most once per executor lifetime regardless of batching.
+// never failing the batch. Analyze cells resolve their model bundle
+// through the executor's memoized fit table, so a config refits at most
+// once per executor lifetime regardless of batching.
 func (e *Executor) DoBatch(ctx context.Context, reqs []Request) []WireItem {
-	var prefetch map[FitConfig]*fitEntry
-	for _, r := range reqs {
-		if r.op() != OpAnalyze || r.Fit == nil {
-			continue
-		}
-		if _, ok := prefetch[*r.Fit]; ok {
-			continue
-		}
-		if prefetch == nil {
-			prefetch = make(map[FitConfig]*fitEntry)
-		}
-		prefetch[*r.Fit] = e.fitted(*r.Fit)
-	}
 	items := make([]WireItem, len(reqs))
 	for i, r := range reqs {
-		var m Measurement
-		var err error
-		if r.op() == OpAnalyze {
-			m, err = e.analyzePrefetched(r, prefetch)
-		} else {
-			m, err = e.Do(ctx, r)
-		}
-		if err != nil {
+		if m, err := e.Do(ctx, r); err != nil {
 			items[i].Err = err.Error()
 		} else {
 			items[i].M = m
@@ -345,17 +323,10 @@ func (e *Executor) DoBatch(ctx context.Context, reqs []Request) []WireItem {
 // analyze evaluates the analytical model bundle on the scenario and
 // reports the noise-free breakdowns in Measurement form.
 func (e *Executor) analyze(req Request) (Measurement, error) {
-	return e.analyzePrefetched(req, nil)
-}
-
-// analyzePrefetched is analyze against a batch-local bundle map;
-// configs missing from it (or a nil map) resolve through the memoized
-// executor path.
-func (e *Executor) analyzePrefetched(req Request, prefetch map[FitConfig]*fitEntry) (Measurement, error) {
 	if req.Scenario == nil {
 		return Measurement{}, fmt.Errorf("%w: nil scenario", ErrRequest)
 	}
-	models, err := e.resolveModels(req.Fit, prefetch)
+	models, err := e.models(req.Fit)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -369,17 +340,6 @@ func (e *Executor) analyzePrefetched(req Request, prefetch map[FitConfig]*fitEnt
 		Latency:   lb,
 		Energy:    eb,
 	}, nil
-}
-
-// resolveModels consults the batch-local prefetch before the memoized
-// executor map.
-func (e *Executor) resolveModels(fc *FitConfig, prefetch map[FitConfig]*fitEntry) (energy.Models, error) {
-	if fc != nil && prefetch != nil {
-		if ent, ok := prefetch[*fc]; ok {
-			return ent.models, ent.err
-		}
-	}
-	return e.models(fc)
 }
 
 // models resolves the bundle for a fit config, refitting at most once per

@@ -34,10 +34,12 @@ tol=${BENCH_TOLERANCE:-2.0}
 
 awk -v tol="$tol" -v base="$baseline" -v freshfile="$fresh" '
 # Both files are written by bench_json.sh: one "BenchmarkName": ns line
-# per benchmark, which keeps the parse independent of a JSON tool.
+# per benchmark, which keeps the parse independent of a JSON tool. A
+# name runs to the closing quote, so sub-benchmarks such as
+# "BenchmarkX/cold" or "BenchmarkY/n=4,k=2.5#01" are gated too.
 function parse(file, map,   line, name, val) {
 	while ((getline line < file) > 0) {
-		if (line ~ /"Benchmark[A-Za-z0-9_]*": *[0-9]/) {
+		if (line ~ /"Benchmark[^"]*": *[0-9]/) {
 			name = line; sub(/^ *"/, "", name); sub(/".*/, "", name)
 			val = line; sub(/.*: */, "", val); sub(/,.*/, "", val)
 			map[name] = val + 0
